@@ -131,6 +131,9 @@ def cmd_eval(args) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read assignment file: {exc}")
     assignment = assignment_from_json(raw, args.dim)
+    if assignment.ambient > size_cap():
+        raise UsageError(f"ambient dimension {assignment.ambient} exceeds the "
+                         f"size cap {size_cap()}")
     value = evaluate(formula, assignment)
     report = _stamp({
         "formula": to_source(formula),
@@ -167,7 +170,7 @@ def cmd_separate(args) -> int:
         raise UsageError(f"dimension {n} exceeds the size cap {cap}")
     try:
         if n == 2 * m and m & (m - 1) == 0:
-            cert = qubit_alpha_separator(m.bit_length() - 1, trials=args.trials or 200,
+            cert = qubit_alpha_separator(m.bit_length() - 1, trials=args.trials,
                                          seed=args.seed, size_cap=cap)
         else:
             cert = separate_dims(m, n, seed=args.seed,

@@ -425,14 +425,14 @@ def evaluate(f: Formula, assignment) -> Subspace:
 def evaluate_equation(eq: Equation, assignment) -> tuple[bool, Subspace, Subspace]:
     """Check an equation at an assignment; returns (holds, lhs_value, rhs_value).
 
-    s <= t is decided exactly as meet(s, t) = s.
+    s <= t is decided exactly by containment, ``s.leq(t)``.
     """
     a = _coerce_assignment(assignment)
     lv = evaluate(eq.lhs, a)
     rv = evaluate(eq.rhs, a)
     if eq.relation == "=":
         return lv == rv, lv, rv
-    return lv.meet(rv) == lv, lv, rv
+    return lv.leq(rv), lv, rv
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ as a canonical form: two row spaces are equal iff their RREFs are identical.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 Rational = Fraction
 
@@ -113,7 +113,8 @@ class GaussianRational:
         return self.re == o.re and self.im == o.im
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # Equal to an int or Fraction when real, so it must hash like one.
+        return hash((self.re, self.im)) if self.im else hash(self.re)
 
     def __repr__(self):
         if not self.im:
@@ -151,6 +152,8 @@ def entry_from_json(item) -> GaussianRational:
     if not isinstance(item, (list, tuple)) or len(item) != 4:
         raise ValueError(f"matrix entry must be a 4-element list, got {item!r}")
     rn, rd, imn, imd = (int(s) for s in item)
+    if not rd or not imd:
+        raise ValueError(f"matrix entry has a zero denominator: {item!r}")
     return GaussianRational(Fraction(rn, rd), Fraction(imn, imd))
 
 
@@ -271,14 +274,9 @@ def _int_rows(m: RationalMatrix) -> list[list[tuple[int, int]]]:
     # row space, and RREF normalizes pivots anyway.
     rows = []
     for r in m.entries:
-        den = 1
-        for z in r:
-            den = lcm(den, z.re.denominator, z.im.denominator)
-        rows.append([
-            (z.re.numerator * (den // z.re.denominator),
-             z.im.numerator * (den // z.im.denominator))
-            for z in r
-        ])
+        den = lcm(*(x.denominator for z in r for x in (z.re, z.im)))
+        rows.append([(z.re.numerator * (den // z.re.denominator),
+                      z.im.numerator * (den // z.im.denominator)) for z in r])
     return rows
 
 
@@ -288,23 +286,22 @@ def _ff_gauss_jordan(rows: list[list[tuple[int, int]]], ncols: int):
     Mutates ``rows`` into an integer multiple of the RREF: on return every
     pivot entry equals the final pivot value, so dividing by it yields the
     rational RREF. Returns (pivot_cols, final_pivot). Divisions are exact by
-    the Bareiss minor identity; exactness is asserted at runtime.
+    the Bareiss minor identity; exactness is asserted at runtime. Columns that
+    hold a pivot are skipped, and their pivot entries are set once at the end.
     """
     nrows = len(rows)
     piv_cols: list[int] = []
+    rest = list(range(ncols)) if nrows else []
     prev_re, prev_im = 1, 0
     pr = 0
     for pc in range(ncols):
-        pivot = None
-        for r in range(pr, nrows):
-            e = rows[r][pc]
-            if e[0] or e[1]:
-                pivot = r
-                break
+        if pr == nrows:
+            break
+        pivot = next((r for r in range(pr, nrows) if rows[r][pc] != (0, 0)), None)
         if pivot is None:
             continue
-        if pivot != pr:
-            rows[pr], rows[pivot] = rows[pivot], rows[pr]
+        rows[pr], rows[pivot] = rows[pivot], rows[pr]
+        rest.remove(pc)
         prow = rows[pr]
         p_re, p_im = prow[pc]
         trivial_prev = prev_re == 1 and prev_im == 0
@@ -314,9 +311,7 @@ def _ff_gauss_jordan(rows: list[list[tuple[int, int]]], ncols: int):
                 continue
             row = rows[r]
             f_re, f_im = row[pc]
-            for c in range(ncols):
-                if c == pc:
-                    continue
+            for c in rest:
                 a_re, a_im = row[c]
                 b_re, b_im = prow[c]
                 n_re = p_re * a_re - p_im * a_im - f_re * b_re + f_im * b_im
@@ -335,9 +330,44 @@ def _ff_gauss_jordan(rows: list[list[tuple[int, int]]], ncols: int):
         prev_re, prev_im = p_re, p_im
         piv_cols.append(pc)
         pr += 1
-        if pr == nrows:
-            break
+    for r, pc in enumerate(piv_cols):
+        rows[r][pc] = (prev_re, prev_im)
     return piv_cols, (prev_re, prev_im)
+
+
+def _canonical(rows: list[list[tuple[int, int]]], ncols: int):
+    """Consume Gaussian-integer rows; return their RREF as ``(num, den, pivots)``.
+
+    RREF = num / den with den the smallest positive integer making it integral,
+    so the triple is unique per row space. Multiplying by the conjugate of the
+    final pivot p turns the divisor into |p|^2, which one gcd then reduces."""
+    piv, (p_re, p_im) = _ff_gauss_jordan(rows, ncols)
+    num = [[(a * p_re + b * p_im, b * p_re - a * p_im) for a, b in row]
+           for row in rows[:len(piv)]]
+    den = p_re * p_re + p_im * p_im
+    g = gcd(den, *(x for row in num for z in row for x in z))
+    return (tuple(tuple((a // g, b // g) for a, b in row) for row in num),
+            den // g, tuple(piv))
+
+
+def _rational_matrix(num, den: int, ncols: int) -> RationalMatrix:
+    """Box canonical numerator rows over ``den`` into exact rationals."""
+    return RationalMatrix(len(num), ncols, [
+        [GaussianRational(Fraction(a, den), Fraction(b, den)) for a, b in row] for row in num])
+
+
+def _null_rows(num, den: int, piv, ncols: int) -> list[list[tuple[int, int]]]:
+    """Integer rows spanning the null space of the RREF ``num / den``: free
+    column f gives v[f] = den and v[pc] = -num[k][f] for the k-th pivot pc."""
+    rows = []
+    for f in range(ncols):
+        if f not in piv:
+            v = [(0, 0)] * ncols
+            v[f] = (den, 0)
+            for row, pc in zip(num, piv):
+                v[pc] = (-row[f][0], -row[f][1])
+            rows.append(v)
+    return rows
 
 
 def rref(m: RationalMatrix) -> tuple[RationalMatrix, int, list[int]]:
@@ -347,31 +377,14 @@ def rref(m: RationalMatrix) -> tuple[RationalMatrix, int, list[int]]:
     zeros above and below every pivot, and zero rows trailing; it is the
     unique RREF of the row space of ``m``.
     """
-    if m.rows == 0:
-        return m, 0, []
-    rows = _int_rows(m)
-    piv_cols, (p_re, p_im) = _ff_gauss_jordan(rows, m.cols)
-    rank = len(piv_cols)
-    pn = p_re * p_re + p_im * p_im
-    out = []
-    for r in range(m.rows):
-        if r < rank:
-            row = []
-            for a_re, a_im in rows[r]:
-                row.append(GaussianRational(
-                    Fraction(a_re * p_re + a_im * p_im, pn),
-                    Fraction(a_im * p_re - a_re * p_im, pn),
-                ))
-            out.append(row)
-        else:
-            out.append([GR_ZERO] * m.cols)
-    return RationalMatrix(m.rows, m.cols, out), rank, piv_cols
+    num, den, piv = _canonical(_int_rows(m), m.cols)
+    out = _rational_matrix(num, den, m.cols).entries + ((GR_ZERO,) * m.cols,) * (m.rows - len(piv))
+    return RationalMatrix(m.rows, m.cols, out), len(piv), list(piv)
 
 
 def row_space(m: RationalMatrix) -> RationalMatrix:
     """Canonical basis of the row space: the nonzero rows of the RREF."""
-    r, rank, _ = rref(m)
-    return RationalMatrix(rank, m.cols, r.entries[:rank])
+    return _rational_matrix(*_canonical(_int_rows(m), m.cols)[:2], m.cols)
 
 
 def rank(m: RationalMatrix) -> int:
@@ -384,17 +397,5 @@ def kernel(m: RationalMatrix) -> RationalMatrix:
     The result has cols(m) - rank(m) rows; kernel of a 0-row matrix is all
     of the ambient space.
     """
-    r, rk, piv = rref(m)
-    n = m.cols
-    pivset = set(piv)
-    free = [c for c in range(n) if c not in pivset]
-    if not free:
-        return RationalMatrix(0, n, [])
-    rows = []
-    for f in free:
-        v = [GR_ZERO] * n
-        v[f] = GR_ONE
-        for k, pc in enumerate(piv):
-            v[pc] = -r.entries[k][f]
-        rows.append(v)
-    return row_space(RationalMatrix(len(rows), n, rows))
+    null = _null_rows(*_canonical(_int_rows(m), m.cols), m.cols)
+    return _rational_matrix(*_canonical(null, m.cols)[:2], m.cols)

@@ -1,9 +1,10 @@
 """The lattice of subspaces of C^n.
 
-A subspace is stored as its canonical RREF spanning basis, so equality of
-subspaces is a syntactic comparison of bases. Meet is computed through the
-kernel representation (a matrix whose null space is the subspace), join by
-stacking bases, and orthocomplement through the conjugated basis kernel.
+A subspace is held as its canonical RREF: Gaussian-integer numerator rows over
+the smallest positive common denominator, plus pivot columns, so equality is
+syntactic. Join eliminates the stacked integer rows once, ortho reads the
+kernel off the RREF, meet is the De Morgan dual ~(~a | ~b) over orthocomplements
+cached in both directions, and leq reduces rows without any elimination.
 All operations are exact and pure; values are immutable and freely shareable.
 """
 
@@ -13,49 +14,48 @@ import random
 from fractions import Fraction
 
 from .linalg import (
-    GR_ONE,
-    GR_ZERO,
-    GaussianRational,
     RationalMatrix,
-    conj_entries,
+    _canonical,
+    _int_rows,
+    _null_rows,
+    _rational_matrix,
     entry_from_json,
     entry_to_json,
-    kernel,
-    kron,
-    row_space,
-    vstack,
 )
 
 REDRAW_CAP = 1000
 
 
 class Subspace:
-    """A subspace of C^n held as a canonical RREF basis (rows span it)."""
+    """A subspace of C^n held as its canonical RREF ``rows / den``, rows of
+    ``(re, im)`` integer pairs, with pivot columns ``piv``."""
 
-    __slots__ = ("ambient", "basis", "_ortho")
+    __slots__ = ("ambient", "rows", "den", "piv", "_ortho")
 
-    def __init__(self, ambient: int, basis: RationalMatrix):
-        # Internal constructor: ``basis`` must already be canonical RREF
-        # with no zero rows. External callers should use span().
+    def __init__(self, ambient: int, rows=(), den: int = 1, piv=()):
+        # Internal: (rows, den, piv) must be canonical, as from _canonical.
         if ambient < 1:
             raise ValueError("ambient dimension must be at least 1")
-        if basis.cols != ambient:
-            raise ValueError("basis width does not match ambient dimension")
-        self.ambient = ambient
-        self.basis = basis
+        self.ambient, self.rows, self.den, self.piv = ambient, rows, den, piv
         self._ortho = None
 
     @classmethod
     def zero(cls, ambient: int) -> "Subspace":
-        return cls(ambient, RationalMatrix(0, ambient, []))
+        return cls(ambient)
 
     @classmethod
     def full(cls, ambient: int) -> "Subspace":
-        return cls(ambient, RationalMatrix.identity(ambient))
+        rows = tuple(tuple((int(i == j), 0) for j in range(ambient)) for i in range(ambient))
+        return cls(ambient, rows, 1, tuple(range(ambient)))
+
+    @property
+    def basis(self) -> RationalMatrix:
+        """The canonical RREF basis as exact rationals, built on demand."""
+        return _rational_matrix(self.rows, self.den, self.ambient)
 
     @property
     def dim(self) -> int:
-        return self.basis.rows
+        return len(self.rows)
 
     @property
     def normalized_dim(self) -> Fraction:
@@ -78,10 +78,10 @@ class Subspace:
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented
-        return self.ambient == other.ambient and self.basis == other.basis
+        return (self.ambient, self.den, self.rows) == (other.ambient, other.den, other.rows)
 
     def __hash__(self):
-        return hash((self.ambient, self.basis))
+        return hash((self.ambient, self.den, self.rows))
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of C^{self.ambient}, basis {self.basis!r})"
@@ -89,50 +89,60 @@ class Subspace:
     def equals(self, other: "Subspace") -> bool:
         """Canonical-basis comparison; raises on ambient mismatch."""
         self._check_ambient(other)
-        return self.basis == other.basis
+        return self == other
 
     def leq(self, other: "Subspace") -> bool:
-        """Containment self <= other."""
+        """Containment self <= other: each row of self reduces to zero against
+        other's RREF. Pivots are the leading columns, so self's are among other's."""
         self._check_ambient(other)
-        if self.dim > other.dim:
+        opiv = set(other.piv)
+        if not opiv.issuperset(self.piv):
             return False
-        return self.join(other).dim == other.dim
-
-    def kernel_rep(self) -> RationalMatrix:
-        """A matrix whose null space is exactly this subspace.
-
-        Rows are the entrywise conjugates of an orthocomplement basis, so
-        M v = 0 iff v is orthogonal to ortho(self), i.e. v in self.
-        """
-        return conj_entries(self.ortho().basis)
+        free = [c for c in range(self.ambient) if c not in opiv]
+        for row in self.rows:
+            for c in free:
+                re = im = 0
+                for pc, orow in zip(other.piv, other.rows):
+                    (a, b), (x, y) = row[pc], orow[c]
+                    re += a * x - b * y
+                    im += a * y + b * x
+                if re != other.den * row[c][0] or im != other.den * row[c][1]:
+                    return False
+        return True
 
     def meet(self, other: "Subspace") -> "Subspace":
-        """Set intersection, computed as the kernel of stacked kernel reps."""
+        """Set intersection, as the De Morgan dual ~(~self | ~other)."""
         self._check_ambient(other)
-        stacked = vstack(self.kernel_rep(), other.kernel_rep())
-        return Subspace(self.ambient, kernel(stacked))
+        if self.is_zero() or other.is_full():
+            return self
+        if other.is_zero() or self.is_full():
+            return other
+        return self.ortho().join(other.ortho()).ortho()
 
     def join(self, other: "Subspace") -> "Subspace":
         """Span of the union (closure of the span; closed automatically here)."""
         self._check_ambient(other)
-        return Subspace(self.ambient, row_space(vstack(self.basis, other.basis)))
+        if self.is_zero() or other.is_full():
+            return other
+        if other.is_zero() or self.is_full():
+            return self
+        rows = [list(r) for r in self.rows + other.rows]
+        return Subspace(self.ambient, *_canonical(rows, self.ambient))
 
     def ortho(self) -> "Subspace":
-        """Orthogonal complement: all v with <b, v> = sum conj(b_i) v_i = 0."""
+        """Orthogonal complement: all v with <b, v> = sum conj(b_i) v_i = 0,
+        the kernel of the entrywise conjugated RREF."""
         if self._ortho is None:
-            o = Subspace(self.ambient, kernel(conj_entries(self.basis)))
+            n = self.ambient
+            conj = [[(a, -b) for a, b in row] for row in self.rows]
+            o = Subspace(n, *_canonical(_null_rows(conj, self.den, self.piv, n), n))
             o._ortho = self
             self._ortho = o
         return self._ortho
 
-    def __and__(self, other):
-        return self.meet(other)
-
-    def __or__(self, other):
-        return self.join(other)
-
-    def __invert__(self):
-        return self.ortho()
+    __and__ = meet
+    __or__ = join
+    __invert__ = ortho
 
     def tensor_embed(self, factor_dim: int, side: str = "right") -> "Subspace":
         """Image under the lattice embedding into C^(ambient * factor_dim).
@@ -145,18 +155,14 @@ class Subspace:
             raise ValueError("factor dimension must be at least 1")
         if side not in ("left", "right"):
             raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-        big = self.ambient * factor_dim
+        n, f = self.ambient, factor_dim
         rows = []
-        for brow in self.basis.entries:
-            b = RationalMatrix(1, self.ambient, [brow])
-            for j in range(factor_dim):
-                e = RationalMatrix(1, factor_dim,
-                                   [[GR_ONE if k == j else GR_ZERO for k in range(factor_dim)]])
-                prod = kron(b, e) if side == "right" else kron(e, b)
-                rows.append(prod.entries[0])
-        if not rows:
-            return Subspace.zero(big)
-        return Subspace(big, row_space(RationalMatrix(len(rows), big, rows)))
+        for row in self.rows:
+            for j in range(f):
+                v = [(0, 0)] * (n * f)
+                v[slice(j, None, f) if side == "right" else slice(j * n, (j + 1) * n)] = row
+                rows.append(v)
+        return Subspace(n * f, *_canonical(rows, n * f))
 
 
 def span(vectors, ambient: int) -> Subspace:
@@ -165,9 +171,8 @@ def span(vectors, ambient: int) -> Subspace:
     for v in rows:
         if len(v) != ambient:
             raise ValueError(f"vector length {len(v)} does not match ambient {ambient}")
-    if not rows:
-        return Subspace.zero(ambient)
-    return Subspace(ambient, row_space(RationalMatrix.from_rows(rows, ambient)))
+    return Subspace(ambient, *_canonical(_int_rows(RationalMatrix.from_rows(rows, ambient)),
+                                         ambient))
 
 
 def random_subspace_rng(rng: random.Random, ambient: int, dim: int,
@@ -181,15 +186,11 @@ def random_subspace_rng(rng: random.Random, ambient: int, dim: int,
         raise ValueError(f"requested dimension {dim} not in [0, {ambient}]")
     if entry_bound < 1:
         raise ValueError("entry bound must be at least 1")
-    if dim == 0:
-        return Subspace.zero(ambient)
     b = entry_bound
     for _ in range(REDRAW_CAP):
-        vectors = [
-            [GaussianRational(rng.randint(-b, b), rng.randint(-b, b)) for _ in range(ambient)]
-            for _ in range(dim)
-        ]
-        s = span(vectors, ambient)
+        rows = [[(rng.randint(-b, b), rng.randint(-b, b)) for _ in range(ambient)]
+                for _ in range(dim)]
+        s = Subspace(ambient, *_canonical(rows, ambient))
         if s.dim == dim:
             return s
     raise RuntimeError(
@@ -203,10 +204,8 @@ def random_subspace(ambient: int, dim: int, seed: int, entry_bound: int = 3) -> 
 
 def subspace_to_json(p: Subspace) -> dict:
     """{"ambient": n, "basis": [[4-int-string entry, ...], ...]}"""
-    return {
-        "ambient": p.ambient,
-        "basis": [[entry_to_json(z) for z in row] for row in p.basis.entries],
-    }
+    return {"ambient": p.ambient,
+            "basis": [[entry_to_json(z) for z in row] for row in p.basis.entries]}
 
 
 def subspace_from_json(obj) -> Subspace:

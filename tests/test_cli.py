@@ -1,5 +1,6 @@
 """CLI behavior: exit codes, JSON determinism, witness replay."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -59,6 +60,24 @@ class TestEval:
         code, _, _ = run(capsys, "eval", "p", "/nonexistent.json")
         assert code == 2
 
+    def test_zero_denominator_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "zero_den.json"
+        path.write_text(json.dumps(
+            {"p": {"ambient": 1, "basis": [[["1", "0", "0", "1"]]]}}))
+        code, out, err = run(capsys, "eval", "p", str(path))
+        assert code == 2
+        assert out == "" and err.count("\n") == 1 and "denominator" in err
+
+    def test_ambient_over_size_cap_exit_2(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"p": {"ambient": 5, "basis": []}}))
+        monkeypatch.setenv("QLAT_SIZE_CAP", "4")
+        code, out, err = run(capsys, "eval", "~p", str(path))
+        assert code == 2
+        assert out == "" and "size cap" in err
+        monkeypatch.setenv("QLAT_SIZE_CAP", "5")
+        assert run(capsys, "eval", "~p", str(path))[0] == 0
+
 
 class TestCheckLaw:
     def test_distributivity_fails_in_c2(self, capsys):
@@ -108,6 +127,25 @@ class TestCheckLaw:
         monkeypatch.setenv("QLAT_SIZE_CAP", "bogus")
         code, _, err = run(capsys, "check-law", "modularity", "--dim", "2")
         assert code == 2
+
+
+# sha256 of stdout, recorded before the lattice kernel moved to integer rows;
+# any change to the canonical form or to the search order changes them.
+GOLDEN_STDOUT = [
+    ("check-law modularity --dim 8 --trials 4 --seed 12 --entry-bound 3 --json",
+     "3c2e6b5e9a86cc6758a6a87205edeac13dace4330d413351bae03e282ae28271"),
+    ("separate 2 3 --trials 500 --seed 9 --entry-bound 3 --json",
+     "448425f4bbe534796d7270493636e9c4ffacbefe1c5c9a4af4f0d563501a807a"),
+    ("separate 4 8 --trials 16 --seed 5 --entry-bound 3 --json",
+     "7ee39d5724f531307ee819ddb50a0aeb24cb533c5ced6ddd8bfa540541866f95"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", GOLDEN_STDOUT)
+def test_golden_stdout(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestSeparate:

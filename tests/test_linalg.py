@@ -85,6 +85,17 @@ class TestGaussianRational:
         assert entry_to_json(z) == ["-3", "7", "2", "5"]
         assert entry_from_json(entry_to_json(z)) == z
 
+    def test_zero_denominator_rejected(self):
+        with pytest.raises(ValueError):
+            entry_from_json(["1", "0", "0", "1"])
+        with pytest.raises(ValueError):
+            entry_from_json(["1", "1", "0", "0"])
+
+    def test_hash_agrees_with_equality(self):
+        assert GaussianRational(3) == 3 and GaussianRational(3) in {3}
+        assert GaussianRational(Fraction(1, 2)) in {Fraction(1, 2)}
+        assert 3 in {GaussianRational(3)}
+
     @given(st.integers(-50, 50), st.integers(-50, 50), st.integers(-50, 50),
            st.integers(-50, 50))
     def test_mul_commutes(self, a, b, c, d):

@@ -4,8 +4,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qlat.linalg import GR_I, GaussianRational
+from qlat.linalg import (
+    GR_I,
+    GaussianRational,
+    RationalMatrix,
+    conj_entries,
+    entry_to_json,
+    kernel,
+    row_space,
+    vstack,
+)
 from qlat.subspace import (
     Subspace,
     random_subspace,
@@ -28,6 +39,7 @@ class TestConstruction:
     def test_span_examples(self):
         assert span([[1, 0]], 2).dim == 1
         assert span([], 3).is_zero()
+        assert span([], 10 ** 12).is_zero()  # no work per column of an empty span
         assert span([[1, 0], [2, 0]], 2).dim == 1
 
     def test_span_length_mismatch(self):
@@ -223,3 +235,53 @@ class TestJson:
             subspace_from_json({"ambient": 2})
         with pytest.raises(ValueError):
             subspace_from_json({"ambient": 2, "basis": [[["1", "1", "0"]]]})
+
+
+def _oracle_ortho(m):
+    return kernel(conj_entries(m))
+
+
+def _oracle_join(a, b):
+    return row_space(vstack(a, b))
+
+
+def _oracle_meet(a, b):
+    return kernel(vstack(conj_entries(_oracle_ortho(a)), conj_entries(_oracle_ortho(b))))
+
+
+def _oracle_json(ambient, m):
+    return {"ambient": ambient, "basis": [[entry_to_json(z) for z in row] for row in m.entries]}
+
+
+class TestIntegerKernelOracle:
+    """The integer lattice kernel against the matrix algorithms of qlat.linalg
+    on boxed rationals: meet as the kernel of stacked kernel representations,
+    join as the row space of stacked bases, ortho as the kernel of the
+    conjugated basis."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 8), st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+    def test_matches_oracle(self, n, bound, seed):
+        rng = random.Random(seed)
+
+        def operand():
+            zero_p = rng.random()
+            vecs = [[0 if rng.random() < zero_p else
+                     GaussianRational(rng.randint(-bound, bound), rng.randint(-bound, bound))
+                     for _ in range(n)] for _ in range(rng.randint(0, n))]
+            return span(vecs, n), row_space(RationalMatrix(len(vecs), n, vecs))
+
+        (a, oa), (b, ob) = operand(), operand()
+        ops = [(a, oa), (b, ob), (~a, _oracle_ortho(oa)),
+               (a | ~b, _oracle_join(oa, _oracle_ortho(ob))),
+               (~a & b, _oracle_meet(_oracle_ortho(oa), ob))]
+        for x, ox in ops:
+            assert subspace_to_json(x) == _oracle_json(n, ox)
+        for (x, ox), (y, oy) in [(ops[0], ops[1]), (ops[3], ops[4]), (ops[4], ops[0]),
+                                 (ops[1], ops[3])]:
+            meet = x & y
+            assert subspace_to_json(meet) == _oracle_json(n, _oracle_meet(ox, oy))
+            assert subspace_to_json(x | y) == _oracle_json(n, _oracle_join(ox, oy))
+            assert subspace_to_json(~x) == _oracle_json(n, _oracle_ortho(ox))
+            assert x.leq(y) == (meet == x)
+            assert y.leq(x) == (meet == y)
