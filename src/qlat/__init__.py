@@ -62,6 +62,7 @@ from .search import (
     audit_invariants,
     certificate_to_json,
     falsify,
+    huhn_witness,
     lift_counterexample,
     qubit_alpha_separator,
     separate_dims,

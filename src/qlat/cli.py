@@ -3,8 +3,8 @@
 Every command is scriptable and deterministic: JSON output is byte-identical
 for identical configuration (stable key order, seeds always recorded), and
 the human-readable mode renders the same data. Exit codes: 0 for success or
-no counterexample, 1 for a found counterexample, an inconclusive search or a
-violated structural bound, 2 for usage and parse errors.
+no counterexample, 1 for a found counterexample or a violated structural
+bound, 2 for usage and parse errors.
 """
 
 from __future__ import annotations
@@ -18,8 +18,6 @@ import sys
 from . import __version__
 from .formula import (
     Equation,
-    Formula,
-    ONE,
     ParseError,
     UnboundVariableError,
     alpha_iter,
@@ -32,7 +30,7 @@ from .formula import (
 )
 from .search import (
     COUNTEREXAMPLE,
-    InconclusiveSearchError,
+    DEFAULT_SIZE_CAP,
     audit_invariants,
     certificate_to_json,
     falsify,
@@ -67,7 +65,7 @@ class UsageError(Exception):
 
 
 def size_cap() -> int:
-    raw = os.environ.get("QLAT_SIZE_CAP", "16")
+    raw = os.environ.get("QLAT_SIZE_CAP", str(DEFAULT_SIZE_CAP))
     try:
         cap = int(raw)
     except ValueError:
@@ -110,15 +108,7 @@ def _resolve_check_target(text: str):
             return law(stripped)
         except ValueError as exc:
             raise UsageError(str(exc)) from None
-    return _parse_claim(text)
-
-
-def _parse_claim(text: str):
-    node = parse(text)
-    if isinstance(node, Formula):
-        # A bare formula is the tautology claim "formula = 1".
-        return Equation(node, ONE, "=")
-    return node
+    return parse(text)
 
 
 def cmd_eval(args) -> int:
@@ -168,23 +158,12 @@ def cmd_separate(args) -> int:
         raise UsageError("need 1 <= m < n")
     if n > cap:
         raise UsageError(f"dimension {n} exceeds the size cap {cap}")
-    try:
-        if n == 2 * m and m & (m - 1) == 0:
-            cert = qubit_alpha_separator(m.bit_length() - 1, trials=args.trials,
-                                         seed=args.seed, size_cap=cap)
-        else:
-            cert = separate_dims(m, n, seed=args.seed,
-                                 entry_bound=args.entry_bound, size_cap=cap)
-    except InconclusiveSearchError as exc:
-        report = _stamp({
-            "status": "inconclusive",
-            "low_dim": m,
-            "high_dim": n,
-            "separator": to_source(exc.equation),
-            "trials": exc.trials,
-        }, args)
-        emit(report, args)
-        return EXIT_FOUND
+    if n == 2 * m and m & (m - 1) == 0:
+        cert = qubit_alpha_separator(m.bit_length() - 1, trials=args.trials,
+                                     seed=args.seed, size_cap=cap)
+    else:
+        cert = separate_dims(m, n, seed=args.seed, holds_trials=args.trials,
+                             entry_bound=args.entry_bound, size_cap=cap)
     report = _stamp(certificate_to_json(cert), args)
     emit(report, args)
     return EXIT_OK
@@ -337,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("falsify", parents=[common],
                        help="falsification search for an equation or formula")
     p.add_argument("target", help="equation or formula source text")
-    p.set_defaults(func=lambda a: cmd_check(a, _parse_claim))
+    p.set_defaults(func=lambda a: cmd_check(a, parse))
 
     p = sub.add_parser("separate", parents=[common],
                        help="separation certificate for two ambient dimensions")

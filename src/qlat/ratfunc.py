@@ -291,6 +291,10 @@ class RationalFunction:
         return self.inum == o.inum and self.iden == o.iden
 
     def __hash__(self):
+        # A constant equals the int or Fraction of the same value, so it must
+        # hash like one.
+        if len(self.iden) == 1 and len(self.inum) <= 1:
+            return hash(Fraction(self.inum[0] if self.inum else 0, self.iden[0]))
         return hash((self.inum, self.iden))
 
     def evaluate(self, x):

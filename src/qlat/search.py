@@ -2,8 +2,8 @@
 
 The search half of the toolkit: seeded sampling of subspace assignments to
 hunt for counterexamples to lattice equations, structured witnesses for the
-distribution test formula, certificates separating the logics of different
-ambient dimensions, counterexample lifting along tensor embeddings, and a
+distribution test formula and the m-distributive law, certificates separating
+the logics of different ambient dimensions, counterexample lifting along tensor embeddings, and a
 per-assignment invariant audit.
 
 Everything is deterministic from explicit seeds. A verdict never claims
@@ -24,6 +24,7 @@ from .formula import (
     Formula,
     ONE,
     ZERO,
+    _coerce_assignment,
     alpha,
     alpha_levels,
     assignment_from_json,
@@ -45,24 +46,14 @@ NO_COUNTEREXAMPLE = "no_counterexample"
 DEFAULT_TRIALS = 1000
 DEFAULT_ENTRY_BOUND = 3
 DEFAULT_SIZE_CAP = 16
-# Escalating trial budgets for counterexample hunts; the first stage pins
-# subspace dimensions near ambient/2, later stages draw uniformly from the
-# interior dims 1..n-1 (dims 0 and n can never witness a failure of the
-# m-distributive law: any variable at a bound collapses both sides).
-ESCALATION_BUDGETS = (1000, 10000, 100000)
 
 
 class InconclusiveSearchError(RuntimeError):
-    """The escalating search budget ran out without finding a counterexample."""
+    """Kept for import compatibility only: nothing raises it.
 
-    def __init__(self, equation: Equation, ambient_dim: int, trials: int, seed: int):
-        super().__init__(
-            f"no counterexample to '{to_source(equation)}' found in C^{ambient_dim} "
-            f"after {trials} trials (seed {seed}); inconclusive")
-        self.equation = equation
-        self.ambient_dim = ambient_dim
-        self.trials = trials
-        self.seed = seed
+    ``separate_dims`` builds its counterexample directly, so no search can
+    run out of budget.
+    """
 
 
 @dataclass(frozen=True)
@@ -132,11 +123,14 @@ def _draw_assignment(eq_vars: Sequence[str], ambient: int, seed: int, trial: int
 
 
 def _scan_range(eq: Equation, eq_vars: tuple[str, ...], ambient: int, seed: int,
-                lo: int, hi: int, dim_schedule, entry_bound: int) -> Optional[int]:
-    # Worker for parallel falsification: first failing trial index in [lo, hi).
+                lo: int, hi: int, dim_schedule, entry_bound: int,
+                audit=None) -> Optional[int]:
+    # First failing trial index in [lo, hi); also the parallel worker.
     for t in range(lo, hi):
         a = _draw_assignment(eq_vars, ambient, seed, t, dim_schedule, entry_bound)
-        holds, _, _ = evaluate_equation(eq, a)
+        holds, lv, rv = evaluate_equation(eq, a)
+        if audit is not None:
+            audit(a, lv, rv)
         if not holds:
             return t
     return None
@@ -171,15 +165,8 @@ def falsify(eq, ambient_dim: int, trials: int = DEFAULT_TRIALS, seed: int = 0,
         first = _falsify_parallel(eq, eq_vars, ambient_dim, trials, seed,
                                   dim_schedule, entry_bound, workers)
     else:
-        first = None
-        for t in range(trials):
-            a = _draw_assignment(eq_vars, ambient_dim, seed, t, dim_schedule, entry_bound)
-            holds, lv, rv = evaluate_equation(eq, a)
-            if audit is not None:
-                audit(a, lv, rv)
-            if not holds:
-                first = t
-                break
+        first = _scan_range(eq, eq_vars, ambient_dim, seed, 0, trials,
+                            dim_schedule, entry_bound, audit)
 
     if first is None:
         return Verdict(NO_COUNTEREXAMPLE, eq, ambient_dim, trials, seed)
@@ -300,39 +287,46 @@ def qubit_alpha_separator(n: int, trials: int = 200, seed: int = 0,
     return SeparationCertificate(low, high, separator, holds, fails)
 
 
+def huhn_witness(m: int, n: int) -> Assignment:
+    """The assignment in C^n (n > m) on which the m-distributive law fails.
+
+    y_i = span(e_i) for i = 0..m and x = span(e_0 + ... + e_m). The left side
+    x & (y0 | ... | ym) is x itself, while every right-hand term
+    x & (join of all y_i but one) is 0: x has a nonzero coordinate at the
+    missing index.
+    """
+    if not 1 <= m < n:
+        raise ValueError("need 1 <= m < n")
+    subs = {f"y{i}": span([[GR_ONE if j == i else GR_ZERO for j in range(n)]], n)
+            for i in range(m + 1)}
+    subs["x"] = span([[GR_ONE if j <= m else GR_ZERO for j in range(n)]], n)
+    return Assignment(subs, n)
+
+
 def separate_dims(m: int, n: int, seed: int = 0, holds_trials: int = 500,
-                  budgets: Sequence[int] = ESCALATION_BUDGETS,
+                  budgets: Optional[Sequence[int]] = None,
                   entry_bound: int = DEFAULT_ENTRY_BOUND,
                   size_cap: int = DEFAULT_SIZE_CAP) -> SeparationCertificate:
     """Separate C^m from C^n (m < n) with the m-distributive law.
 
     Evidence at dimension m comes from seeded sampling; the counterexample at
-    dimension n from an escalating seeded search (stage 1 pins dims near n/2,
-    later stages draw from 1..n-1). Raises InconclusiveSearchError when the
-    budget is exhausted; a missing counterexample is never papered over.
+    dimension n is ``huhn_witness(m, n)``, evaluated once. ``budgets`` is
+    accepted for compatibility and ignored: there is no search to budget.
     """
-    if not 1 <= m < n:
-        raise ValueError("need 1 <= m < n")
     if n > size_cap:
         raise ValueError(f"dimension {n} exceeds the size cap {size_cap}")
+    witness = huhn_witness(m, n)
     separator = m_distributive(m)
     holds = falsify(separator, m, holds_trials, seed, entry_bound=entry_bound)
     if holds.status != NO_COUNTEREXAMPLE:
         raise RuntimeError(
             f"the {m}-distributive law unexpectedly failed in C^{m}; this is a bug")
-
-    half_dims = sorted({n // 2, (n + 1) // 2})
-    interior = list(range(1, n))
-    schedules = [half_dims] + [interior] * (len(budgets) - 1)
-    total = 0
-    for stage, (budget, schedule) in enumerate(zip(budgets, schedules)):
-        stage_seed = seed * 10007 + stage
-        verdict = falsify(separator, n, budget, stage_seed,
-                          dim_schedule=schedule, entry_bound=entry_bound)
-        total += verdict.trials_run
-        if verdict.status == COUNTEREXAMPLE:
-            return SeparationCertificate(m, n, separator, holds, verdict)
-    raise InconclusiveSearchError(separator, n, total, seed)
+    _, lv, rv = evaluate_equation(separator, witness)
+    if (lv.dim, rv.dim) != (1, 0):
+        raise RuntimeError(f"Huhn witness in C^{n} has sides of dims {lv.dim} and "
+                           f"{rv.dim}, expected 1 and 0")
+    fails = Verdict(COUNTEREXAMPLE, separator, n, 1, seed, witness, (lv, rv))
+    return SeparationCertificate(m, n, separator, holds, fails)
 
 
 def embed_assignment(a: Assignment, factor_dim: int, side: str = "right") -> Assignment:
@@ -368,7 +362,7 @@ def audit_invariants(assignment, ambient_dim: int | None = None) -> dict:
     and dimension bounds of the distribution test formula. Returns a JSON-able
     report with one entry per check and exact values in the details.
     """
-    a = _coerce_assignment_audit(assignment, ambient_dim)
+    a = _coerce_assignment(assignment, ambient_dim)
     amb = a.ambient
     top = Subspace.full(amb)
     bot = Subspace.zero(amb)
@@ -412,12 +406,6 @@ def audit_invariants(assignment, ambient_dim: int | None = None) -> dict:
     }
 
 
-def _coerce_assignment_audit(assignment, ambient_dim):
-    if isinstance(assignment, Assignment):
-        return assignment
-    return Assignment(assignment, ambient_dim)
-
-
 # ---------------------------------------------------------------------------
 # JSON reports
 
@@ -440,8 +428,7 @@ def verdict_to_json(v: Verdict) -> dict:
 
 
 def verdict_from_json(obj: dict) -> Verdict:
-    eq = parse(obj["equation"])
-    eq = _coerce_equation(eq)
+    eq = _coerce_equation(parse(obj["equation"]))
     witness = None
     gap = None
     if obj.get("witness") is not None:

@@ -129,13 +129,14 @@ class TestCheckLaw:
         assert code == 2
 
 
-# sha256 of stdout, recorded before the lattice kernel moved to integer rows;
-# any change to the canonical form or to the search order changes them.
+# sha256 of stdout; any change to the canonical form or to the search order
+# changes them. The `separate 2 3` digest covers the built Huhn witness; its
+# sampled half is also pinned on its own by test_golden_holds_evidence.
 GOLDEN_STDOUT = [
     ("check-law modularity --dim 8 --trials 4 --seed 12 --entry-bound 3 --json",
      "3c2e6b5e9a86cc6758a6a87205edeac13dace4330d413351bae03e282ae28271"),
     ("separate 2 3 --trials 500 --seed 9 --entry-bound 3 --json",
-     "448425f4bbe534796d7270493636e9c4ffacbefe1c5c9a4af4f0d563501a807a"),
+     "46be37d391b452752d9f61ff1136e8c175530b68ed152403e48ba3860cfdf3d3"),
     ("separate 4 8 --trials 16 --seed 5 --entry-bound 3 --json",
      "7ee39d5724f531307ee819ddb50a0aeb24cb533c5ced6ddd8bfa540541866f95"),
 ]
@@ -146,6 +147,19 @@ def test_golden_stdout(capsys, argv, digest):
     code, out, _ = run(capsys, *argv.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_golden_holds_evidence(capsys):
+    # the sampled "holds in C^2" half, as recorded before the witness was built
+    code, out, _ = run(capsys, "separate", "2", "3", "--trials", "500", "--seed", "9",
+                       "--entry-bound", "3", "--json")
+    assert code == 0
+    report = json.loads(out)
+    holds = json.dumps(report["holds_evidence"], indent=2, sort_keys=True)
+    assert hashlib.sha256(holds.encode()).hexdigest() == (
+        "ba0b003ddc93ce12555d86b3eb5f422014973a9ba4d26bce48f2ff7838ed5b95")
+    assert report["fails_witness"]["seed"] == 9
+    assert report["fails_witness"]["trials"] == 1
 
 
 class TestSeparate:
@@ -162,6 +176,12 @@ class TestSeparate:
         assert code == 0
         report = json.loads(out)
         assert report["separator"].startswith("x & (y0 | y1 | y2)")
+
+    def test_both_routes_honour_trials(self, capsys):
+        for m, n in (("2", "3"), ("2", "4")):
+            code, out, _ = run(capsys, "separate", m, n, "--json", "--trials", "7")
+            assert code == 0
+            assert json.loads(out)["holds_evidence"]["trials"] == 7
 
     def test_order_exit_2(self, capsys):
         code, _, _ = run(capsys, "separate", "3", "2")

@@ -54,6 +54,14 @@ class TestCanonicalForm:
         f = RationalFunction([Fraction(1, 2), Fraction(1, 3)])
         assert f == rf((3, 2), (6,))
 
+    def test_hash_agrees_with_equality(self):
+        assert RationalFunction.constant(3) == 3
+        assert RationalFunction.constant(3) in {3}
+        assert RationalFunction.constant(Fraction(1, 2)) in {Fraction(1, 2)}
+        assert rf((-2,), (4,)) in {Fraction(-1, 2)}
+        assert 0 in {RF_ZERO} and 1 in {RF_ONE}
+        assert hash(RF_D) == hash(rf((0, 2), (2,)))
+
 
 class TestArithmetic:
     def test_trace_value_shape(self):

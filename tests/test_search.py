@@ -12,11 +12,11 @@ from qlat.formula import (
     evaluate,
     evaluate_equation,
     law,
+    m_distributive,
     parse_equation,
 )
 from qlat.search import (
     COUNTEREXAMPLE,
-    InconclusiveSearchError,
     NO_COUNTEREXAMPLE,
     SeparationCertificate,
     Verdict,
@@ -24,6 +24,7 @@ from qlat.search import (
     certificate_to_json,
     embed_assignment,
     falsify,
+    huhn_witness,
     lift_counterexample,
     qubit_alpha_separator,
     separate_dims,
@@ -173,13 +174,26 @@ class TestSeparateDims:
         with pytest.raises(ValueError):
             separate_dims(0, 1, seed=0)
 
-    def test_inconclusive_raises(self):
-        # seed 0 gives a single trial that misses; the exhausted budget must
-        # surface as an explicit inconclusive error carrying the seed
-        with pytest.raises(InconclusiveSearchError) as e:
-            separate_dims(2, 3, seed=0, holds_trials=10, budgets=(1,))
-        assert e.value.seed == 0
-        assert e.value.trials == 1
+    def test_budgets_ignored_witness_replays(self):
+        # the witness is built, not searched for, so even a one-trial budget
+        # yields a certificate whose witness replays to the recorded gap
+        cert = separate_dims(2, 3, seed=0, holds_trials=10, budgets=(1,))
+        holds, lv, rv = evaluate_equation(cert.separator, cert.fails_witness.witness)
+        assert not holds
+        assert (lv, rv) == cert.fails_witness.witness_gap
+        assert cert.holds_evidence.trials_run == 10
+
+    def test_witness_fails_law(self):
+        pairs = [(m, n) for n in range(2, 9) for m in range(1, n)] + [(1, 16), (15, 16)]
+        for m, n in pairs:
+            holds, lv, rv = evaluate_equation(m_distributive(m), huhn_witness(m, n))
+            assert not holds and lv.dim == 1 and rv.dim == 0, (m, n)
+
+    def test_fails_witness_records_user_seed(self):
+        for cert in (separate_dims(2, 3, seed=9, holds_trials=5),
+                     qubit_alpha_separator(1, trials=5, seed=9)):
+            assert cert.fails_witness.seed == 9
+            assert cert.fails_witness.trials_run == 1
 
     def test_certificate_invariants(self):
         good = separate_dims(1, 2, seed=0, holds_trials=50)
