@@ -45,7 +45,7 @@ from .templieb import (
     chebyshev,
     eval_at_root,
     generator_e,
-    include,
+    include_upto,
     jones_wenzl,
     jw_at_root,
     markov_trace,
@@ -276,13 +276,6 @@ def _tl_trace(args) -> int:
         }
     emit(_stamp(report, args), args)
     return EXIT_OK
-
-
-def include_upto(j: int, n: int):
-    p = jones_wenzl(j)
-    while p.n < n:
-        p = include(p)
-    return p
 
 
 def build_parser() -> argparse.ArgumentParser:

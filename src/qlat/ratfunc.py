@@ -311,25 +311,44 @@ class RationalFunction:
         return f"({num})/({p_to_str(self.iden)})"
 
 
-def _reduce(num: IntCoeffs, den: IntCoeffs) -> tuple[IntCoeffs, IntCoeffs]:
-    num, den = _trim(num), _trim(den)
+def ip_reduce(nums: list, den: IntCoeffs) -> tuple[list, IntCoeffs]:
+    """Canonical form of nonzero numerators over one common denominator.
+
+    Divides out the primitive gcd of ``den`` and every numerator, then their
+    common integer content, and makes the leading coefficient of ``den``
+    positive. The result is unique for the fractions ``nums[k] / den``
+    together, so equal families compare equal as tuples.
+    """
+    den = _trim(den)
     if not den:
         raise ZeroDivisionError("rational function with zero denominator")
-    if not num:
-        return P_ZERO, P_ONE
-    g = ip_gcd(num, den)
+    if not nums:
+        return [], P_ONE
+    g = den
+    for a in nums:
+        if len(g) == 1:
+            break
+        g = ip_gcd(g, a)
     if len(g) > 1:
-        num = ip_divexact(num, g)
         den = ip_divexact(den, g)
-    cn, cd = ip_content(num), ip_content(den)
-    c = gcd(cn, cd)
-    if c > 1:
-        num = tuple(x // c for x in num)
-        den = tuple(x // c for x in den)
+        nums = [ip_divexact(a, g) for a in nums]
+    c = ip_content(den)
+    for a in nums:
+        if c == 1:
+            break
+        c = gcd(c, ip_content(a))
     if den[-1] < 0:
-        num = ip_neg(num)
-        den = ip_neg(den)
-    return num, den
+        c = -c
+    if c != 1:
+        den = tuple(x // c for x in den)
+        nums = [tuple(x // c for x in a) for a in nums]
+    return nums, den
+
+
+def _reduce(num: IntCoeffs, den: IntCoeffs) -> tuple[IntCoeffs, IntCoeffs]:
+    num = _trim(num)
+    nums, den = ip_reduce([num] if num else [], den)
+    return (nums[0] if nums else P_ZERO), den
 
 
 RF_ZERO = RationalFunction()

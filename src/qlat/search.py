@@ -124,15 +124,16 @@ def _draw_assignment(eq_vars: Sequence[str], ambient: int, seed: int, trial: int
 
 def _scan_range(eq: Equation, eq_vars: tuple[str, ...], ambient: int, seed: int,
                 lo: int, hi: int, dim_schedule, entry_bound: int,
-                audit=None) -> Optional[int]:
-    # First failing trial index in [lo, hi); also the parallel worker.
+                audit=None) -> Optional[tuple]:
+    # (index, assignment, lhs, rhs) of the first failing trial in [lo, hi);
+    # also the parallel worker.
     for t in range(lo, hi):
         a = _draw_assignment(eq_vars, ambient, seed, t, dim_schedule, entry_bound)
         holds, lv, rv = evaluate_equation(eq, a)
         if audit is not None:
             audit(a, lv, rv)
         if not holds:
-            return t
+            return t, a, lv, rv
     return None
 
 
@@ -170,17 +171,15 @@ def falsify(eq, ambient_dim: int, trials: int = DEFAULT_TRIALS, seed: int = 0,
 
     if first is None:
         return Verdict(NO_COUNTEREXAMPLE, eq, ambient_dim, trials, seed)
-    a = _draw_assignment(eq_vars, ambient_dim, seed, first, dim_schedule, entry_bound)
-    holds, lv, rv = evaluate_equation(eq, a)
-    assert not holds
-    return Verdict(COUNTEREXAMPLE, eq, ambient_dim, first + 1, seed, a, (lv, rv))
+    t, a, lv, rv = first
+    return Verdict(COUNTEREXAMPLE, eq, ambient_dim, t + 1, seed, a, (lv, rv))
 
 
 def _falsify_parallel(eq, eq_vars, ambient, trials, seed, dim_schedule,
-                      entry_bound, workers) -> Optional[int]:
+                      entry_bound, workers) -> Optional[tuple]:
     chunk = max(1, trials // (workers * 4))
     ranges = [(lo, min(lo + chunk, trials)) for lo in range(0, trials, chunk)]
-    best: Optional[int] = None
+    best: Optional[tuple] = None
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [
             pool.submit(_scan_range, eq, eq_vars, ambient, seed, lo, hi,
@@ -189,7 +188,7 @@ def _falsify_parallel(eq, eq_vars, ambient, trials, seed, dim_schedule,
         ]
         for fut in futures:
             hit = fut.result()
-            if hit is not None and (best is None or hit < best):
+            if hit is not None and (best is None or hit[0] < best[0]):
                 best = hit
     return best
 

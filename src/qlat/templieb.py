@@ -5,7 +5,9 @@ points of a rectangle: 0..n-1 along the bottom (left to right) and n..2n-1
 along the top (left to right). Algebra elements are linear combinations of
 diagrams with coefficients in the field of rational functions in the loop
 parameter d; multiplication stacks diagrams (x * y puts x above y) and each
-closed loop contributes a factor d.
+closed loop contributes a factor d. An element is held as integer-polynomial
+numerators over one common denominator, reduced once per operation, and each
+distinct composed diagram is built, and checked for planarity, once.
 
 The generators e_i carry coefficient 1/d on the cup-cap diagram U_i, so that
 e_i^2 = e_i, e_i e_{i+-1} e_i = e_i / d^2, and far-apart generators commute.
@@ -24,11 +26,20 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .ratfunc import (
+    P_ONE,
+    P_ZERO,
     RF_D,
     RF_ONE,
     RF_ZERO,
     RationalFunction,
     coeffs_to_json,
+    ip_add,
+    ip_divexact,
+    ip_eval,
+    ip_gcd,
+    ip_mul,
+    ip_reduce,
+    ip_sub,
 )
 
 
@@ -147,8 +158,16 @@ def catalan(n: int) -> int:
     return math.comb(2 * n, n) // (n + 1)
 
 
+@lru_cache(maxsize=None)
+def _interned(n: int, pairing: tuple) -> PlanarDiagram:
+    """One shared diagram per pairing, checked by PlanarDiagram on first use."""
+    return PlanarDiagram(n, pairing)
+
+
 def compose(top: PlanarDiagram, bottom: PlanarDiagram) -> tuple[PlanarDiagram, int]:
-    """Stack ``top`` above ``bottom``; returns (diagram, closed loop count)."""
+    """Stack ``top`` above ``bottom``; returns (diagram, closed loop count).
+    Pairs are found sorted, by their smaller point, so equal results share
+    one ``_interned`` key."""
     if top.n != bottom.n:
         raise ValueError(f"strand count mismatch: {top.n} vs {bottom.n}")
     n = top.n
@@ -191,7 +210,7 @@ def compose(top: PlanarDiagram, bottom: PlanarDiagram) -> tuple[PlanarDiagram, i
             j2 = tp[cur]
             visited[j2] = True
             cur = bp[n + j2] - n
-    return PlanarDiagram(n, pairs), loops
+    return _interned(n, tuple(pairs)), loops
 
 
 def closure_loops(diagram: PlanarDiagram) -> int:
@@ -214,20 +233,38 @@ def closure_loops(diagram: PlanarDiagram) -> int:
 
 
 class TLElement:
-    """A linear combination of diagrams with rational-function coefficients."""
+    """A linear combination of diagrams with rational-function coefficients:
+    nonzero numerators ``nums`` by diagram over ``den``, canonical by
+    ``ip_reduce``, so equality is a plain comparison; ``terms`` is the lazy
+    ``{diagram: RationalFunction}`` view."""
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n", "nums", "den", "_terms")
 
     def __init__(self, n: int, terms: dict):
-        clean = {}
+        coeffs = {}
         for diag, coeff in terms.items():
             if diag.n != n:
                 raise ValueError("all diagrams must share the strand count")
             c = coeff if isinstance(coeff, RationalFunction) else RationalFunction.constant(coeff)
             if c:
-                clean[diag] = c
+                coeffs[diag] = c
+        den = P_ONE
+        for c in coeffs.values():
+            den = ip_mul(den, ip_divexact(c.iden, ip_gcd(den, c.iden)))
+        self._set(n, {d: ip_mul(c.inum, ip_divexact(den, c.iden)) for d, c in coeffs.items()},
+                  den)
+
+    def _set(self, n: int, nums: dict, den) -> "TLElement":
+        nums = {d: a for d, a in nums.items() if a}
+        vals, self.den = ip_reduce(list(nums.values()), den)
         self.n = n
-        self.terms = clean
+        self.nums = dict(zip(nums, vals))
+        self._terms = None
+        return self
+
+    @classmethod
+    def _make(cls, n: int, nums: dict, den) -> "TLElement":
+        return object.__new__(cls)._set(n, nums, den)
 
     @classmethod
     def zero(cls, n: int) -> "TLElement":
@@ -239,14 +276,20 @@ class TLElement:
 
     @classmethod
     def from_diagram(cls, diag: PlanarDiagram, coeff=1) -> "TLElement":
-        return cls(diag.n, {diag: RationalFunction.constant(coeff)
-                            if not isinstance(coeff, RationalFunction) else coeff})
+        return cls(diag.n, {diag: coeff})
+
+    @property
+    def terms(self) -> dict:
+        if self._terms is None:
+            self._terms = {d: RationalFunction._raw(a, self.den) for d, a in self.nums.items()}
+        return self._terms
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def coefficient(self, diag: PlanarDiagram) -> RationalFunction:
-        return self.terms.get(diag, RF_ZERO)
+        a = self.nums.get(diag)
+        return RationalFunction._raw(a, self.den) if a else RF_ZERO
 
     def identity_coefficient(self) -> RationalFunction:
         return self.coefficient(PlanarDiagram.identity(self.n))
@@ -254,46 +297,57 @@ class TLElement:
     def __eq__(self, other):
         if not isinstance(other, TLElement):
             return NotImplemented
-        return self.n == other.n and self.terms == other.terms
+        return self.n == other.n and self.den == other.den and self.nums == other.nums
 
-    def __add__(self, other):
+    def _combine(self, other, sign: int):
         if not isinstance(other, TLElement):
             return NotImplemented
         if self.n != other.n:
             raise ValueError("strand count mismatch")
-        out = dict(self.terms)
-        for diag, c in other.terms.items():
-            out[diag] = out.get(diag, RF_ZERO) + c
-        return TLElement(self.n, out)
+        fy = ip_mul(self.den, (sign,))
+        out = {d: ip_mul(a, other.den) for d, a in self.nums.items()}
+        for d, a in other.nums.items():
+            out[d] = ip_add(out.get(d, P_ZERO), ip_mul(a, fy))
+        return TLElement._make(self.n, out, ip_mul(self.den, other.den))
 
-    def __neg__(self):
-        return TLElement(self.n, {d: -c for d, c in self.terms.items()})
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        if not isinstance(other, TLElement):
-            return NotImplemented
-        return self + (-other)
+        return self._combine(other, -1)
+
+    def __neg__(self):
+        return self * -1
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, RationalFunction)):
             k = other if isinstance(other, RationalFunction) else RationalFunction.constant(other)
-            return TLElement(self.n, {d: c * k for d, c in self.terms.items()})
+            return TLElement._make(self.n, {d: ip_mul(a, k.inum) for d, a in self.nums.items()},
+                                   ip_mul(self.den, k.iden))
         if not isinstance(other, TLElement):
             return NotImplemented
         if self.n != other.n:
             raise ValueError("strand count mismatch")
+        # Diagram products contribute d^loops * Nx * Ny over den_x * den_y.
+        # For each dx the shifted Ny are summed per result diagram first, so
+        # there is one polynomial product per (dx, result), and one reduction.
         out: dict = {}
-        for dx, cx in self.terms.items():
-            for dy, cy in other.terms.items():
+        ys = list(other.nums.items())
+        for dx, nx in self.nums.items():
+            row: dict = {}
+            for dy, ny in ys:
                 diag, loops = compose(dx, dy)
-                c = cx * cy
-                if loops:
-                    c = c * RF_D ** loops
-                if diag in out:
-                    out[diag] = out[diag] + c
-                else:
-                    out[diag] = c
-        return TLElement(self.n, out)
+                acc = row.get(diag)
+                if acc is None:
+                    acc = row[diag] = []
+                short = loops + len(ny) - len(acc)
+                if short > 0:
+                    acc.extend([0] * short)
+                for j, b in enumerate(ny, loops):
+                    acc[j] += b
+            for diag, acc in row.items():
+                out[diag] = ip_add(out.get(diag, P_ZERO), ip_mul(nx, acc))
+        return TLElement._make(self.n, out, ip_mul(self.den, other.den))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, RationalFunction)):
@@ -301,7 +355,7 @@ class TLElement:
         return NotImplemented
 
     def __repr__(self):
-        if not self.terms:
+        if not self.nums:
             return f"TLElement({self.n}, 0)"
         bits = [f"({coeff!r})*{diag!r}" for diag, coeff in sorted(self.terms.items())]
         return " + ".join(bits)
@@ -325,11 +379,18 @@ def include(x: TLElement) -> TLElement:
     """The inclusion into one more strand: append a through-strand on the right."""
     n = x.n
     out = {}
-    for diag, coeff in x.terms.items():
+    for diag, a in x.nums.items():
         pairs = [tuple(p if p < n else p + 1 for p in pair) for pair in diag.pairing]
-        pairs.append((n, 2 * n + 1))
-        out[PlanarDiagram(n + 1, pairs)] = coeff
-    return TLElement(n + 1, out)
+        out[_interned(n + 1, tuple(sorted(pairs + [(n, 2 * n + 1)])))] = a
+    return TLElement._make(n + 1, out, x.den)
+
+
+def include_upto(j: int, n: int) -> TLElement:
+    """The level-j projector included into n strands."""
+    p = jones_wenzl(j)
+    while p.n < n:
+        p = include(p)
+    return p
 
 
 @dataclass(frozen=True)
@@ -344,10 +405,7 @@ class ChebyshevPoly:
             raise ValueError("coefficients do not match the stated degree")
 
     def evaluate(self, x):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        return ip_eval(self.coeffs, x)
 
     def as_rational_function(self) -> RationalFunction:
         return RationalFunction(self.coeffs)
@@ -361,11 +419,7 @@ def chebyshev(n: int) -> ChebyshevPoly:
         return ChebyshevPoly(0, (1,))
     if n == 1:
         return ChebyshevPoly(1, (0, 1))
-    prev2 = chebyshev(n - 2).coeffs
-    prev1 = chebyshev(n - 1).coeffs
-    shifted = (0,) + prev1
-    out = [shifted[k] - (prev2[k] if k < len(prev2) else 0) for k in range(n + 1)]
-    return ChebyshevPoly(n, tuple(out))
+    return ChebyshevPoly(n, ip_sub((0,) + chebyshev(n - 1).coeffs, chebyshev(n - 2).coeffs))
 
 
 def _verify_jones_wenzl(p: TLElement, n: int):
@@ -406,11 +460,12 @@ def jones_wenzl(n: int) -> TLElement:
 
 def markov_trace(x: TLElement) -> RationalFunction:
     """Normalized trace via circular closure: a diagram contributes
-    d^(closure loops - n), so the identity traces to 1 and tr(e_i) = 1/d^2."""
-    out = RF_ZERO
-    for diag, coeff in x.terms.items():
-        out = out + coeff * RationalFunction.monomial(closure_loops(diag) - x.n)
-    return out
+    d^(closure loops - n), so the identity traces to 1 and tr(e_i) = 1/d^2.
+    Reduced once, as sum N_D d^(closure loops of D) over den * d^n."""
+    acc = P_ZERO
+    for diag, a in x.nums.items():
+        acc = ip_add(acc, (0,) * closure_loops(diag) + a)
+    return RationalFunction._raw(acc, (0,) * x.n + x.den)
 
 
 def root_params(r: int) -> float:
@@ -430,17 +485,10 @@ POLE_TOLERANCE = 1e-12
 def eval_at_root(f: RationalFunction, r: int) -> float:
     """Evaluate a symbolic coefficient at d = 2 cos(pi/r) in double precision."""
     d = root_params(r)
-    den = _horner(f.iden, d)
+    den = ip_eval(f.iden, d)
     if abs(den) < POLE_TOLERANCE:
         raise PoleError(f"denominator vanishes at d = 2cos(pi/{r}) = {d!r}")
-    return _horner(f.inum, d) / den
-
-
-def _horner(cs, x: float) -> float:
-    acc = 0.0
-    for c in reversed(cs):
-        acc = acc * x + float(c)
-    return acc
+    return ip_eval(f.inum, d) / den
 
 
 @dataclass(frozen=True)

@@ -139,6 +139,15 @@ GOLDEN_STDOUT = [
      "46be37d391b452752d9f61ff1136e8c175530b68ed152403e48ba3860cfdf3d3"),
     ("separate 4 8 --trials 16 --seed 5 --entry-bound 3 --json",
      "7ee39d5724f531307ee819ddb50a0aeb24cb533c5ced6ddd8bfa540541866f95"),
+    # recorded with the per-term rational-function diagram algebra
+    ("tl jw --n 5 --r 7 --seed 1 --json",
+     "76678c83a4ff1fbb64b8e56c34a3dae46e1d99e99acf0e3e5f76b843905fdfae"),
+    ("tl jw --n 6 --json",
+     "584ab4930f47bc199bf642d33c071d8d900d2ccc58ab0f4a698921e562845b1a"),
+    ("tl trace --n 5 --r 7 --json",
+     "25fe1fd062ec757afc88b42ea15341d05e405ba97374dee53a0055ca3bea3f46"),
+    ("tl relations --n 5 --json",
+     "bb705c8ff265149a8d403518ca7a0da18ae21f857d8cc45dba41b9a3f3a5a922"),
 ]
 
 

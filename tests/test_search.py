@@ -82,6 +82,21 @@ class TestFalsify:
         falsify(parse_equation("x = x"), 4, 20, seed=1, dim_schedule=[2], audit=audit)
         assert seen and set(seen) == {2}
 
+    def test_failing_trial_evaluated_once(self, monkeypatch):
+        import qlat.search
+
+        calls = []
+
+        def counted(eq, a):
+            calls.append(a)
+            return evaluate_equation(eq, a)
+
+        monkeypatch.setattr(qlat.search, "evaluate_equation", counted)
+        v = falsify(law("distributivity"), 2, 1000, seed=5)
+        assert v.status == COUNTEREXAMPLE and v.trials_run == 9
+        assert len(calls) == 9
+        assert calls[-1] is v.witness
+
     def test_trials_positive(self):
         with pytest.raises(ValueError):
             falsify(law("modularity"), 2, 0, seed=0)

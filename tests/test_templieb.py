@@ -2,10 +2,13 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qlat.ratfunc import RF_D, RF_ONE
+from qlat.ratfunc import RF_D, RF_ONE, RationalFunction, ip_reduce
 from qlat.templieb import (
     ChebyshevPoly,
     NumericTLElement,
@@ -103,6 +106,92 @@ class TestComposition:
     def test_strand_mismatch(self):
         with pytest.raises(ValueError):
             generator_e(3, 1) * generator_e(4, 1)
+
+    def test_rejects_nonplanar_result(self):
+        # a crossing diagram slipped past PlanarDiagram's own check
+        n = 3
+        bad = object.__new__(PlanarDiagram)
+        pairs = [(0, n + 1), (1, n)] + [(j, n + j) for j in range(2, n)]
+        bad.n, bad.pairing, bad._partner = n, tuple(pairs), None
+        with pytest.raises(ValueError, match="planar"):
+            compose(bad, PlanarDiagram.identity(n))
+
+
+# The per-term product and sums on {diagram: RationalFunction} dicts that
+# TLElement used before its common-denominator form; the fuzz oracle.
+
+def ref_mul(x: dict, y: dict) -> dict:
+    out = {}
+    for dx, cx in x.items():
+        for dy, cy in y.items():
+            diag, loops = compose(dx, dy)
+            assert diag == PlanarDiagram(diag.n, diag.pairing)
+            c = cx * cy
+            if loops:
+                c = c * RF_D ** loops
+            out[diag] = out[diag] + c if diag in out else c
+    return {d: c for d, c in out.items() if c}
+
+
+def ref_add(x: dict, y: dict, sign: int = 1) -> dict:
+    out = dict(x)
+    for diag, c in y.items():
+        out[diag] = out.get(diag, 0) + sign * c
+    return {d: c for d, c in out.items() if c}
+
+
+def ref_scale(x: dict, k) -> dict:
+    return {d: c * k for d, c in x.items() if c * k}
+
+
+small_poly = st.lists(st.integers(-3, 3), min_size=1, max_size=3)
+ratfuncs = st.builds(
+    RationalFunction, small_poly,
+    small_poly.filter(any) | st.sampled_from([(0, 1), (-1, 0, 1), (1, 1), (2,)]))
+
+
+@st.composite
+def elements(draw, n):
+    basis = enumerate_diagrams(n)
+    terms = draw(st.dictionaries(st.sampled_from(basis), ratfuncs, max_size=4))
+    return TLElement(n, terms)
+
+
+class TestCommonDenominatorOracle:
+    """The integer common-denominator kernel against the per-term oracle."""
+
+    @staticmethod
+    def assert_same(elem, ref: dict):
+        assert elem.terms == ref
+        other = TLElement(elem.n, ref)
+        assert elem == other
+        assert elem.nums == other.nums and elem.den == other.den
+        nums = list(elem.nums.values())
+        assert ip_reduce(nums, elem.den) == (nums, elem.den)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), st.integers(1, 4), ratfuncs.filter(bool))
+    def test_matches_oracle(self, data, n, k):
+        x, y, z = (data.draw(elements(n)) for _ in range(3))
+        self.assert_same(x * y, ref_mul(x.terms, y.terms))
+        self.assert_same(x + y, ref_add(x.terms, y.terms))
+        self.assert_same(x - y, ref_add(x.terms, y.terms, -1))
+        self.assert_same(x * k, ref_scale(x.terms, k))
+        self.assert_same(k * x, ref_scale(x.terms, k))
+        self.assert_same(-x, ref_scale(x.terms, -1))
+        # equal elements built by different routes are identical
+        for a, b in [(x + y, y + x), ((x * y) * z, x * (y * z)),
+                     (x * (y + z), x * y + x * z), ((x * k) * (RF_ONE / k), x),
+                     (x - x, TLElement.zero(n))]:
+            assert a == b
+            assert a.nums == b.nums and a.den == b.den
+
+    def test_plain_coefficients(self):
+        u = PlanarDiagram.cup_cap(3, 1)
+        x = TLElement(3, {u: Fraction(2, 6), PlanarDiagram.identity(3): 4})
+        assert x.den == (3,)
+        assert x.nums == {u: (1,), PlanarDiagram.identity(3): (12,)}
+        assert x.terms == {u: Fraction(1, 3), PlanarDiagram.identity(3): 4}
 
 
 class TestRelations:
