@@ -260,7 +260,8 @@ def _tl_trace(args) -> int:
     n = args.n
     if not 2 <= n <= 8:
         raise UsageError("--n must be in 2..8")
-    rows = [{"element": "e_i", "trace": repr(markov_trace(generator_e(n, 1)))}]
+    tr_e = markov_trace(generator_e(n, 1))
+    rows = [{"element": "e_i", "trace": repr(tr_e)}]
     for j in range(1, n):
         rows.append({"element": f"p_{j}", "trace": repr(markov_trace(include_upto(j, n)))})
     report = {"n": n, "traces": rows}
@@ -271,7 +272,7 @@ def _tl_trace(args) -> int:
         report["r"] = args.r
         report["d"] = d
         report["numeric"] = {
-            "tr(e_i)": eval_at_root(markov_trace(generator_e(n, 1)), args.r),
+            "tr(e_i)": eval_at_root(tr_e, args.r),
             "quarter_sec_squared": 0.25 / math.cos(math.pi / args.r) ** 2,
         }
     emit(_stamp(report, args), args)

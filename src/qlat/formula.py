@@ -218,29 +218,41 @@ def _prec(node: Formula) -> int:
 
 
 def to_source(node: Union[Formula, Equation]) -> str:
-    """Minimal-parenthesization source text; parse(to_source(f)) == f."""
+    """Minimal-parenthesization source text; parse(to_source(f)) == f.
+
+    Text is memoized by node id within one call, so a shared node is printed
+    once however many parents it has.
+    """
+    memo: dict[int, str] = {}
+
+    def go(n: Formula) -> str:
+        text = memo.get(id(n))
+        if text is not None:
+            return text
+        t = type(n)
+        if t is Var:
+            text = n.name
+        elif t is Zero:
+            text = "0"
+        elif t is One:
+            text = "1"
+        elif t is Not:
+            inner = go(n.child)
+            text = f"~({inner})" if _prec(n.child) < 3 else f"~{inner}"
+        else:
+            op, p = ("&", 2) if t is And else ("|", 1)
+            left, right = go(n.left), go(n.right)
+            if _prec(n.left) < p:
+                left = f"({left})"
+            if _prec(n.right) <= p:
+                right = f"({right})"
+            text = f"{left} {op} {right}"
+        memo[id(n)] = text
+        return text
+
     if isinstance(node, Equation):
-        return f"{to_source(node.lhs)} {node.relation} {to_source(node.rhs)}"
-    t = type(node)
-    if t is Var:
-        return node.name
-    if t is Zero:
-        return "0"
-    if t is One:
-        return "1"
-    if t is Not:
-        inner = to_source(node.child)
-        if _prec(node.child) < 3:
-            inner = f"({inner})"
-        return f"~{inner}"
-    op, p = ("&", 2) if t is And else ("|", 1)
-    left = to_source(node.left)
-    if _prec(node.left) < p:
-        left = f"({left})"
-    right = to_source(node.right)
-    if _prec(node.right) <= p:
-        right = f"({right})"
-    return f"{left} {op} {right}"
+        return f"{go(node.lhs)} {node.relation} {go(node.rhs)}"
+    return go(node)
 
 
 def free_vars(node: Union[Formula, Equation]) -> set[str]:
@@ -422,14 +434,19 @@ def evaluate(f: Formula, assignment) -> Subspace:
     return evaluate_with_cache(f, assignment)[0]
 
 
-def evaluate_equation(eq: Equation, assignment) -> tuple[bool, Subspace, Subspace]:
+def evaluate_equation(eq: Equation, assignment,
+                      nodes: dict | None = None) -> tuple[bool, Subspace, Subspace]:
     """Check an equation at an assignment; returns (holds, lhs_value, rhs_value).
 
-    s <= t is decided exactly by containment, ``s.leq(t)``.
+    s <= t is decided exactly by containment, ``s.leq(t)``. A ``nodes`` dict
+    receives the value of every node of both sides, keyed by node id.
     """
     a = _coerce_assignment(assignment)
-    lv = evaluate(eq.lhs, a)
-    rv = evaluate(eq.rhs, a)
+    lv, lcache = evaluate_with_cache(eq.lhs, a)
+    rv, rcache = evaluate_with_cache(eq.rhs, a)
+    if nodes is not None:
+        nodes.update(lcache)
+        nodes.update(rcache)
     if eq.relation == "=":
         return lv == rv, lv, rv
     return lv.leq(rv), lv, rv

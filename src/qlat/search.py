@@ -13,6 +13,7 @@ held. Counterexamples, in contrast, are exact and replayable.
 
 from __future__ import annotations
 
+import inspect
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -31,7 +32,6 @@ from .formula import (
     assignment_to_json,
     evaluate,
     evaluate_equation,
-    evaluate_with_cache,
     free_vars,
     m_distributive,
     parse,
@@ -126,12 +126,19 @@ def _scan_range(eq: Equation, eq_vars: tuple[str, ...], ambient: int, seed: int,
                 lo: int, hi: int, dim_schedule, entry_bound: int,
                 audit=None) -> Optional[tuple]:
     # (index, assignment, lhs, rhs) of the first failing trial in [lo, hi);
-    # also the parallel worker.
+    # also the parallel worker. A hook with a ``nodes`` parameter is also
+    # handed the trial's node values, so it need not evaluate again.
+    with_nodes = audit is not None and "nodes" in inspect.signature(audit).parameters
     for t in range(lo, hi):
         a = _draw_assignment(eq_vars, ambient, seed, t, dim_schedule, entry_bound)
-        holds, lv, rv = evaluate_equation(eq, a)
-        if audit is not None:
-            audit(a, lv, rv)
+        if with_nodes:
+            nodes = {}
+            holds, lv, rv = evaluate_equation(eq, a, nodes)
+            audit(a, lv, rv, nodes=nodes)
+        else:
+            holds, lv, rv = evaluate_equation(eq, a)
+            if audit is not None:
+                audit(a, lv, rv)
         if not holds:
             return t, a, lv, rv
     return None
@@ -140,7 +147,7 @@ def _scan_range(eq: Equation, eq_vars: tuple[str, ...], ambient: int, seed: int,
 def falsify(eq, ambient_dim: int, trials: int = DEFAULT_TRIALS, seed: int = 0,
             dim_schedule: Optional[Sequence[int]] = None, *,
             entry_bound: int = DEFAULT_ENTRY_BOUND,
-            audit: Optional[Callable[[Assignment, Subspace, Subspace], None]] = None,
+            audit: Optional[Callable[..., None]] = None,
             workers: Optional[int] = None) -> Verdict:
     """Hunt for a counterexample over seeded random assignments.
 
@@ -150,6 +157,9 @@ def falsify(eq, ambient_dim: int, trials: int = DEFAULT_TRIALS, seed: int = 0,
     assignment. With ``workers`` the trials are scanned in parallel; the
     reported witness is still the one with the smallest trial index, so the
     verdict is identical to the sequential run.
+
+    ``audit(assignment, lhs, rhs)`` runs after every trial; a hook that takes
+    a ``nodes`` keyword also gets ``{id(node): value}`` for both sides.
     """
     eq = _coerce_equation(eq)
     if trials < 1:
@@ -252,10 +262,9 @@ def qubit_alpha_separator(n: int, trials: int = 200, seed: int = 0,
     levels = alpha_levels(n + 1)
     separator = Equation(levels[-1], ZERO, "=")
 
-    def _audit(assignment: Assignment, lv: Subspace, rv: Subspace):
-        _, cache = evaluate_with_cache(levels[-1], assignment)
+    def _audit(assignment: Assignment, lv: Subspace, rv: Subspace, nodes: dict):
         for k, lvl in enumerate(levels, start=1):
-            val = cache[id(lvl)]
+            val = nodes[id(lvl)]
             if val.dim * (2 ** k) > assignment.ambient:
                 raise RuntimeError(
                     f"level-{k} dimension bound violated: dim {val.dim} in "

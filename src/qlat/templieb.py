@@ -11,11 +11,11 @@ distinct composed diagram is built, and checked for planarity, once.
 
 The generators e_i carry coefficient 1/d on the cup-cap diagram U_i, so that
 e_i^2 = e_i, e_i e_{i+-1} e_i = e_i / d^2, and far-apart generators commute.
-Jones-Wenzl projectors are built by the standard recursion and then verified
-against their defining characterization (idempotent, nonzero, killed by every
-generator) before being returned. The Markov trace of a basis diagram is
-d^(loops of its circular closure minus n), normalized so the identity traces
-to 1.
+Jones-Wenzl projectors are built by the standard recursion and verified with
+n - 1 products before being returned: identity coefficient 1, equal to their
+top-bottom reflection, and p U_i = 0, which imply U_i p = 0 and p p = p. The
+Markov trace of a basis diagram is d^(loops of its circular closure minus n),
+normalized so the identity traces to 1.
 """
 
 from __future__ import annotations
@@ -105,10 +105,16 @@ class PlanarDiagram:
     def __repr__(self):
         return f"PlanarDiagram({self.n}, {list(self.pairing)})"
 
+    def reflect(self) -> "PlanarDiagram":
+        """Turned upside down: point j < n swaps with point n + j."""
+        n, m = self.n, 2 * self.n
+        return _interned(n, tuple(sorted(tuple(sorted(((a + n) % m, (b + n) % m)))
+                                         for a, b in self.pairing)))
+
 
 def _rect_pos(point: int, n: int) -> int:
-    # Walk the rectangle boundary: bottom left to right, then top right to
-    # left. Crossings in this circular order are exactly the non-planar ones.
+    # Walk the rectangle boundary: bottom left to right, then top right to left
+    # (an involution). Crossings in this circular order are the non-planar ones.
     return point if point < n else 3 * n - 1 - point
 
 
@@ -128,9 +134,6 @@ def _has_crossing(pairs, n: int) -> bool:
 
 def enumerate_diagrams(n: int) -> list[PlanarDiagram]:
     """All noncrossing diagrams on n strands; there are Catalan(n) of them."""
-    if n < 0:
-        raise ValueError("strand count must be nonnegative")
-
     def matchings(points: tuple[int, ...]):
         if not points:
             yield []
@@ -143,14 +146,9 @@ def enumerate_diagrams(n: int) -> list[PlanarDiagram]:
                 for mo in matchings(outer):
                     yield [(first, points[k])] + mi + mo
 
-    positions = tuple(range(2 * n))
-
-    def label(pos: int) -> int:
-        return pos if pos < n else 3 * n - 1 - pos
-
     out = []
-    for m in matchings(positions):
-        out.append(PlanarDiagram(n, [(label(a), label(b)) for a, b in m]))
+    for m in matchings(tuple(range(2 * n))):
+        out.append(PlanarDiagram(n, [(_rect_pos(a, n), _rect_pos(b, n)) for a, b in m]))
     return sorted(out)
 
 
@@ -349,6 +347,10 @@ class TLElement:
                 out[diag] = ip_add(out.get(diag, P_ZERO), ip_mul(nx, acc))
         return TLElement._make(self.n, out, ip_mul(self.den, other.den))
 
+    def adjoint(self) -> "TLElement":
+        """Each diagram reflected, coefficients kept: (x y)* = y* x*, x** = x."""
+        return TLElement._make(self.n, {d.reflect(): a for d, a in self.nums.items()}, self.den)
+
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, RationalFunction)):
             return self * other
@@ -423,37 +425,35 @@ def chebyshev(n: int) -> ChebyshevPoly:
 
 
 def _verify_jones_wenzl(p: TLElement, n: int):
+    """Prove the characterization with n - 1 products and no p p: (i) p != 0,
+    identity coefficient 1; (ii) p = p*; (iii) p U_i = 0 for i = 1..n-1. Then
+    U_i p = (p U_i)* = 0, as U_i* = U_i. A non-identity diagram D has an adjacent
+    top cap, so D = U_i D' and p D = 0; with p = 1 + sum c_D D, that is p p = p."""
     if p.is_zero():
         raise JonesWenzlError(f"projector at n={n} is zero")
     if p.identity_coefficient() != RF_ONE:
         raise JonesWenzlError(f"projector at n={n} has identity coefficient != 1")
-    if p * p != p:
-        raise JonesWenzlError(f"projector at n={n} is not idempotent")
+    if p.adjoint() != p:
+        raise JonesWenzlError(f"projector at n={n} is not self-adjoint")
     for i in range(1, n):
-        e = generator_e(n, i)
-        if not (e * p).is_zero() or not (p * e).is_zero():
-            raise JonesWenzlError(f"projector at n={n} is not annihilated by e_{i}")
+        if not (p * diagram_generator(n, i)).is_zero():
+            raise JonesWenzlError(f"projector at n={n} is not annihilated by U_{i}")
 
 
 @lru_cache(maxsize=None)
 def jones_wenzl(n: int) -> TLElement:
-    """The unique nonzero idempotent killed by every generator.
-
-    Built by the recursion p_{k+1} = p_k - (D_{k-1}/D_k) p_k U_k p_k on the
-    raw diagrams, then verified against the characterization (idempotence,
-    annihilation, identity coefficient 1) before being returned; a failed
-    verification aborts rather than handing back an unverified element.
-    """
+    """The unique nonzero idempotent killed by every generator, built by the
+    recursion p_{k+1} = p_k - (D_{k-1}/D_k) p_k U_k p_k on the raw diagrams and
+    returned only once ``_verify_jones_wenzl`` has proved it."""
     if n < 1:
         raise ValueError("strand count must be at least 1")
     if n == 1:
         p = TLElement.identity(1)
-        _verify_jones_wenzl(p, 1)
-        return p
-    prev = include(jones_wenzl(n - 1))
-    u = diagram_generator(n, n - 1)
-    ratio = chebyshev(n - 2).as_rational_function() / chebyshev(n - 1).as_rational_function()
-    p = prev - (prev * u * prev) * ratio
+    else:
+        prev = include(jones_wenzl(n - 1))
+        u = diagram_generator(n, n - 1)
+        ratio = chebyshev(n - 2).as_rational_function() / chebyshev(n - 1).as_rational_function()
+        p = prev - (prev * u * prev) * ratio
     _verify_jones_wenzl(p, n)
     return p
 

@@ -233,6 +233,17 @@ class TestTl:
         assert code == 1
         assert "n = 1..3" in json.loads(out)["error"]
 
+    def test_trace_computes_each_trace_once(self, capsys, monkeypatch):
+        import qlat.cli
+
+        calls = []
+        plain = qlat.cli.markov_trace
+        monkeypatch.setattr(qlat.cli, "markov_trace", lambda x: calls.append(x) or plain(x))
+        code, out, _ = run(capsys, *"tl trace --n 5 --r 7 --json".split())
+        assert code == 0 and len(calls) == 5
+        assert hashlib.sha256(out.encode()).hexdigest() == dict(GOLDEN_STDOUT)[
+            "tl trace --n 5 --r 7 --json"]
+
     def test_trace(self, capsys):
         code, out, _ = run(capsys, "tl", "trace", "--n", "3", "--r", "4", "--json")
         assert code == 0

@@ -358,3 +358,60 @@ class TestAssignmentJson:
 ))
 def test_parse_print_identity_hypothesis(f):
     assert parse(to_source(f)) == f
+
+
+TREE_PREC = {Or: 1, And: 2}
+
+
+def tree_source(node) -> str:
+    """The plain recursive printer that ``to_source`` memoizes; the oracle."""
+    if isinstance(node, Equation):
+        return f"{tree_source(node.lhs)} {node.relation} {tree_source(node.rhs)}"
+    t = type(node)
+    if t is Var:
+        return node.name
+    if t is type(ZERO):
+        return "0"
+    if t is type(ONE):
+        return "1"
+    if t is Not:
+        inner = tree_source(node.child)
+        return f"~({inner})" if type(node.child) in TREE_PREC else f"~{inner}"
+    op, prec = ("&", 2) if t is And else ("|", 1)
+    left, right = tree_source(node.left), tree_source(node.right)
+    if TREE_PREC.get(type(node.left), 3) < prec:
+        left = f"({left})"
+    if TREE_PREC.get(type(node.right), 3) <= prec:
+        right = f"({right})"
+    return f"{left} {op} {right}"
+
+
+formulas = st.recursive(
+    st.sampled_from([Var("p"), Var("q"), Var("r"), ZERO, ONE]),
+    lambda child: st.one_of(
+        st.builds(Not, child),
+        st.builds(And, child, child),
+        st.builds(Or, child, child),
+    ),
+    max_leaves=20,
+)
+
+
+class TestMemoizedPrinter:
+    """``to_source`` against the tree printer, on trees and on shared DAGs."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(formulas, formulas, formulas)
+    def test_matches_tree_printer(self, f, g, h):
+        parsed = parse(tree_source(f))
+        assert to_source(parsed) == tree_source(parsed)
+        # alpha_of reuses each argument several times, so memo hits abound
+        shared = alpha_of(f, g, h)
+        assert to_source(shared) == tree_source(shared)
+        eq = Equation(shared, Or(shared, Not(f)), "<=")
+        assert to_source(eq) == tree_source(eq)
+
+    def test_iterated_alpha(self):
+        f = alpha_levels(3)[-1]
+        assert to_source(f) == tree_source(f)
+        assert to_source(Equation(f, ZERO)) == tree_source(Equation(f, ZERO))

@@ -165,6 +165,40 @@ class TestQubitSeparator:
         with pytest.raises(ValueError):
             qubit_alpha_separator(4, trials=10, seed=0, size_cap=16)
 
+    def test_audit_reads_node_cache(self, monkeypatch):
+        # two evaluations per trial (one per side) and three for the chained
+        # witness; auditing by evaluating again made it 3 per trial, 33 here
+        import qlat.formula
+        import qlat.search
+
+        calls = []
+        plain = qlat.formula.evaluate_with_cache
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return plain(*args, **kwargs)
+
+        for mod in (qlat.formula, qlat.search):
+            if getattr(mod, "evaluate_with_cache", None) is plain:
+                monkeypatch.setattr(mod, "evaluate_with_cache", counted)
+        qubit_alpha_separator(2, trials=10)
+        assert len(calls) == 23
+
+    def test_nodes_hook_and_three_argument_hook(self):
+        eq = law("distributivity")
+        seen = []
+
+        def with_nodes(a, lv, rv, nodes):
+            assert nodes[id(eq.lhs)] is lv and nodes[id(eq.rhs)] is rv
+            seen.append("nodes")
+
+        def plain(a, lv, rv):
+            seen.append("plain")
+
+        falsify(eq, 2, 5, seed=0, audit=with_nodes)
+        falsify(eq, 2, 5, seed=0, audit=plain)
+        assert seen == ["nodes"] * 5 + ["plain"] * 5
+
 
 class TestSeparateDims:
     def test_huhn_1_2(self):

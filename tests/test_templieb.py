@@ -9,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qlat.ratfunc import RF_D, RF_ONE, RationalFunction, ip_reduce
+import qlat.templieb
 from qlat.templieb import (
     ChebyshevPoly,
+    JonesWenzlError,
     NumericTLElement,
     PlanarDiagram,
     PoleError,
@@ -27,6 +29,7 @@ from qlat.templieb import (
     jones_wenzl,
     jw_at_root,
     markov_trace,
+    _verify_jones_wenzl,
     root_params,
     tl_to_json,
 )
@@ -274,6 +277,90 @@ class TestJonesWenzl:
             prev = include(jones_wenzl(n - 1))
             assert pn * prev == pn
             assert prev * pn == pn
+
+
+class TestAdjoint:
+    @settings(max_examples=100, deadline=None)
+    @given(st.data(), st.integers(1, 4))
+    def test_involution_and_anti_automorphism(self, data, n):
+        x, y = data.draw(elements(n)), data.draw(elements(n))
+        assert x.adjoint().adjoint() == x
+        assert (x * y).adjoint() == y.adjoint() * x.adjoint()
+        assert (x + y).adjoint() == x.adjoint() + y.adjoint()
+        assert x.adjoint().terms == {d.reflect(): c for d, c in x.terms.items()}
+
+    def test_reflect(self):
+        d = PlanarDiagram(3, [(0, 1), (2, 3), (4, 5)])
+        assert d.reflect() == PlanarDiagram(3, [(3, 4), (5, 0), (1, 2)])
+        for n in range(5):
+            for diag in enumerate_diagrams(n):
+                assert diag.reflect().reflect() == diag
+        assert PlanarDiagram.cup_cap(4, 2).reflect() == PlanarDiagram.cup_cap(4, 2)
+
+
+def verify_by_products(p: TLElement, n: int):
+    """The four-check verifier that multiplied p by itself; the test oracle."""
+    if p.is_zero():
+        raise JonesWenzlError(f"projector at n={n} is zero")
+    if p.identity_coefficient() != RF_ONE:
+        raise JonesWenzlError(f"projector at n={n} has identity coefficient != 1")
+    if p * p != p:
+        raise JonesWenzlError(f"projector at n={n} is not idempotent")
+    for i in range(1, n):
+        e = generator_e(n, i)
+        if not (e * p).is_zero() or not (p * e).is_zero():
+            raise JonesWenzlError(f"projector at n={n} is not annihilated by e_{i}")
+
+
+def corrupted(n: int) -> dict:
+    """Elements that fail ``_verify_jones_wenzl(x, n)``, keyed by its message."""
+    p = jones_wenzl(n)
+    lopsided = next(d for d in enumerate_diagrams(n) if d.reflect() != d)
+    dx = TLElement.from_diagram(lopsided)
+    c = RationalFunction((1, 2), (3, 0, 1))
+    return {
+        "zero": TLElement.zero(n),
+        "identity coefficient": p * 2,
+        "self-adjoint": p + dx * c,
+        "annihilated": p + (dx + dx.adjoint()) * c,
+        # idempotent and killed by U_1..U_{n-2}, but not by U_{n-1}
+        f"annihilated by U_{n - 1}": include(jones_wenzl(n - 1)),
+    }
+
+
+class TestVerifier:
+    @pytest.mark.parametrize("n", range(3, 6))
+    def test_rejects_each_corruption(self, n):
+        for check, x in corrupted(n).items():
+            assert x.adjoint() == x or check == "self-adjoint"
+            with pytest.raises(JonesWenzlError, match=check):
+                _verify_jones_wenzl(x, n)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_agrees_with_product_oracle(self, n):
+        p = jones_wenzl(n)
+        _verify_jones_wenzl(p, n)
+        verify_by_products(p, n)
+        if n >= 3:
+            for x in corrupted(n).values():
+                with pytest.raises(JonesWenzlError):
+                    verify_by_products(x, n)
+
+    def test_composition_budget(self, monkeypatch):
+        # cold jones_wenzl(5): 470 compositions; verifying with p * p took 2682
+        count = [0]
+
+        def counted(top, bottom):
+            count[0] += 1
+            return compose(top, bottom)
+
+        monkeypatch.setattr(qlat.templieb, "compose", counted)
+        jones_wenzl.cache_clear()
+        try:
+            jones_wenzl(5)
+        finally:
+            jones_wenzl.cache_clear()
+        assert 0 < count[0] <= 600
 
 
 class TestMarkovTrace:
