@@ -12,6 +12,10 @@ Concrete syntax (whitespace insignificant; unicode aliases on input only):
     conj     := atom { "&" atom }
     atom     := "~" atom | "0" | "1" | ident | "(" formula ")"
     ident    := letter { letter | digit | "_" }
+
+Parsed text may nest at most ``MAX_PARSE_DEPTH`` levels: each connective and
+each parenthesized group is one level. Deeper text is a ``ParseError``, so
+no recursive walk over a parsed formula can exhaust the stack.
 """
 
 from __future__ import annotations
@@ -94,6 +98,8 @@ class UnboundVariableError(ValueError):
 
 _ALIASES = str.maketrans({"∧": "&", "∨": "|", "¬": "~"})
 
+MAX_PARSE_DEPTH = 128  # the deepest separator at size cap 16 (`separate 8 16`) has 44
+
 
 def _tokenize(text: str) -> Iterator[tuple[str, str, int]]:
     text = text.translate(_ALIASES)
@@ -132,6 +138,7 @@ class _Parser:
             raise ParseError("empty input", 0)
         self.tokens = list(_tokenize(text))
         self.pos = 0
+        self.open = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -141,36 +148,57 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def formula(self) -> Formula:
-        node = self.conj()
+    # Each rule returns (node, depth). ``self.open`` counts the groups and
+    # negations still open, a lower bound on the final depth, so text nested
+    # too deeply is refused before it can overflow the parser's own stack.
+
+    def too_deep(self, at: int) -> ParseError:
+        return ParseError(f"formula nested deeper than {MAX_PARSE_DEPTH} levels", at)
+
+    def formula(self) -> tuple[Formula, int]:
+        node, depth = self.conj()
         while self.peek()[0] == "|":
-            self.take()
-            node = Or(node, self.conj())
-        return node
+            at = self.take()[2]
+            right, rdepth = self.conj()
+            node, depth = Or(node, right), 1 + (depth if depth > rdepth else rdepth)
+            if depth > MAX_PARSE_DEPTH:
+                raise self.too_deep(at)
+        return node, depth
 
-    def conj(self) -> Formula:
-        node = self.atom()
+    def conj(self) -> tuple[Formula, int]:
+        node, depth = self.atom()
         while self.peek()[0] == "&":
-            self.take()
-            node = And(node, self.atom())
-        return node
+            at = self.take()[2]
+            right, rdepth = self.atom()
+            node, depth = And(node, right), 1 + (depth if depth > rdepth else rdepth)
+            if depth > MAX_PARSE_DEPTH:
+                raise self.too_deep(at)
+        return node, depth
 
-    def atom(self) -> Formula:
+    def atom(self) -> tuple[Formula, int]:
         kind, value, at = self.take()
-        if kind == "~":
-            return Not(self.atom())
-        if kind == "0":
-            return ZERO
-        if kind == "1":
-            return ONE
         if kind == "ident":
-            return Var(value)
-        if kind == "(":
-            node = self.formula()
-            kind2, _, at2 = self.take()
-            if kind2 != ")":
-                raise ParseError("unbalanced parentheses: expected ')'", at2)
-            return node
+            return Var(value), 0
+        if kind in ("~", "("):
+            self.open += 1
+            if self.open > MAX_PARSE_DEPTH:
+                raise self.too_deep(at)
+            if kind == "~":
+                node, depth = self.atom()
+                node = Not(node)
+            else:
+                node, depth = self.formula()
+                kind2, _, at2 = self.take()
+                if kind2 != ")":
+                    raise ParseError("unbalanced parentheses: expected ')'", at2)
+            self.open -= 1
+            if depth >= MAX_PARSE_DEPTH:
+                raise self.too_deep(at)
+            return node, depth + 1
+        if kind == "0":
+            return ZERO, 0
+        if kind == "1":
+            return ONE, 0
         if kind == ")":
             raise ParseError("unbalanced parentheses: unexpected ')'", at)
         raise ParseError(f"unexpected token {value!r}", at)
@@ -179,11 +207,11 @@ class _Parser:
 def parse(text: str) -> Union[Formula, Equation]:
     """Parse a formula, or an equation when '=' / '<=' is present."""
     p = _Parser(text)
-    lhs = p.formula()
+    lhs, _ = p.formula()
     kind, _, at = p.peek()
     if kind in ("=", "<="):
         p.take()
-        rhs = p.formula()
+        rhs, _ = p.formula()
         kind2, value2, at2 = p.peek()
         if kind2 != "end":
             raise ParseError(f"unexpected token {value2!r} after equation", at2)

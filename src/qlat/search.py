@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import inspect
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -110,27 +109,39 @@ def _trial_rng(seed: int, trial: int) -> random.Random:
 
 
 def _draw_assignment(eq_vars: Sequence[str], ambient: int, seed: int, trial: int,
-                     dim_schedule: Optional[Sequence[int]], entry_bound: int) -> Assignment:
+                     entry_bound: int) -> Assignment:
     rng = _trial_rng(seed, trial)
     subs = {}
     for name in eq_vars:
-        if dim_schedule is None:
-            d = rng.randint(0, ambient)
-        else:
-            d = dim_schedule[rng.randrange(len(dim_schedule))]
+        d = rng.randint(0, ambient)
         subs[name] = random_subspace_rng(rng, ambient, d, entry_bound)
     return Assignment(subs, ambient)
 
 
-def _scan_range(eq: Equation, eq_vars: tuple[str, ...], ambient: int, seed: int,
-                lo: int, hi: int, dim_schedule, entry_bound: int,
-                audit=None) -> Optional[tuple]:
-    # (index, assignment, lhs, rhs) of the first failing trial in [lo, hi);
-    # also the parallel worker. A hook with a ``nodes`` parameter is also
-    # handed the trial's node values, so it need not evaluate again.
+def falsify(eq, ambient_dim: int, trials: int = DEFAULT_TRIALS, seed: int = 0, *,
+            entry_bound: int = DEFAULT_ENTRY_BOUND,
+            audit: Optional[Callable[..., None]] = None) -> Verdict:
+    """Hunt for a counterexample over seeded random assignments.
+
+    Trials run in order and stop at the first failure. Subspace dimensions
+    are drawn uniformly over 0..ambient and entries are Gaussian integers
+    with real and imaginary parts in -entry_bound..entry_bound.
+    Deterministic given (equation, ambient, trials, seed, entry_bound):
+    trial k always sees the same assignment.
+
+    ``audit(assignment, lhs, rhs)`` runs after every trial; a hook that takes
+    a ``nodes`` keyword also gets ``{id(node): value}`` for both sides, so it
+    need not evaluate again.
+    """
+    eq = _coerce_equation(eq)
+    if trials < 1:
+        raise ValueError("at least one trial is required")
+    if ambient_dim < 1:
+        raise ValueError("ambient dimension must be at least 1")
+    eq_vars = tuple(sorted(free_vars(eq)))
     with_nodes = audit is not None and "nodes" in inspect.signature(audit).parameters
-    for t in range(lo, hi):
-        a = _draw_assignment(eq_vars, ambient, seed, t, dim_schedule, entry_bound)
+    for t in range(trials):
+        a = _draw_assignment(eq_vars, ambient_dim, seed, t, entry_bound)
         if with_nodes:
             nodes = {}
             holds, lv, rv = evaluate_equation(eq, a, nodes)
@@ -140,67 +151,8 @@ def _scan_range(eq: Equation, eq_vars: tuple[str, ...], ambient: int, seed: int,
             if audit is not None:
                 audit(a, lv, rv)
         if not holds:
-            return t, a, lv, rv
-    return None
-
-
-def falsify(eq, ambient_dim: int, trials: int = DEFAULT_TRIALS, seed: int = 0,
-            dim_schedule: Optional[Sequence[int]] = None, *,
-            entry_bound: int = DEFAULT_ENTRY_BOUND,
-            audit: Optional[Callable[..., None]] = None,
-            workers: Optional[int] = None) -> Verdict:
-    """Hunt for a counterexample over seeded random assignments.
-
-    Subspace dimensions are drawn uniformly over 0..ambient unless
-    ``dim_schedule`` pins them to the given choices. Deterministic given
-    (equation, ambient, trials, seed): trial k always sees the same
-    assignment. With ``workers`` the trials are scanned in parallel; the
-    reported witness is still the one with the smallest trial index, so the
-    verdict is identical to the sequential run.
-
-    ``audit(assignment, lhs, rhs)`` runs after every trial; a hook that takes
-    a ``nodes`` keyword also gets ``{id(node): value}`` for both sides.
-    """
-    eq = _coerce_equation(eq)
-    if trials < 1:
-        raise ValueError("at least one trial is required")
-    if ambient_dim < 1:
-        raise ValueError("ambient dimension must be at least 1")
-    if dim_schedule is not None:
-        dim_schedule = list(dim_schedule)
-        if not dim_schedule or not all(0 <= d <= ambient_dim for d in dim_schedule):
-            raise ValueError("dim_schedule must be nonempty dims within 0..ambient")
-    eq_vars = tuple(sorted(free_vars(eq)))
-
-    if workers and workers > 1 and audit is None and trials >= 4 * workers:
-        first = _falsify_parallel(eq, eq_vars, ambient_dim, trials, seed,
-                                  dim_schedule, entry_bound, workers)
-    else:
-        first = _scan_range(eq, eq_vars, ambient_dim, seed, 0, trials,
-                            dim_schedule, entry_bound, audit)
-
-    if first is None:
-        return Verdict(NO_COUNTEREXAMPLE, eq, ambient_dim, trials, seed)
-    t, a, lv, rv = first
-    return Verdict(COUNTEREXAMPLE, eq, ambient_dim, t + 1, seed, a, (lv, rv))
-
-
-def _falsify_parallel(eq, eq_vars, ambient, trials, seed, dim_schedule,
-                      entry_bound, workers) -> Optional[tuple]:
-    chunk = max(1, trials // (workers * 4))
-    ranges = [(lo, min(lo + chunk, trials)) for lo in range(0, trials, chunk)]
-    best: Optional[tuple] = None
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(_scan_range, eq, eq_vars, ambient, seed, lo, hi,
-                        dim_schedule, entry_bound)
-            for lo, hi in ranges
-        ]
-        for fut in futures:
-            hit = fut.result()
-            if hit is not None and (best is None or hit[0] < best[0]):
-                best = hit
-    return best
+            return Verdict(COUNTEREXAMPLE, eq, ambient_dim, t + 1, seed, a, (lv, rv))
+    return Verdict(NO_COUNTEREXAMPLE, eq, ambient_dim, trials, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +198,7 @@ def structured_alpha_witness(ambient_dim: int) -> Assignment:
 
 
 def qubit_alpha_separator(n: int, trials: int = 200, seed: int = 0,
+                          entry_bound: int = DEFAULT_ENTRY_BOUND,
                           size_cap: int = DEFAULT_SIZE_CAP) -> SeparationCertificate:
     """Separate the logics of C^(2^n) and C^(2^(n+1)) by the iterated test
     formula: level n+1 vanishes identically at the low dimension and a
@@ -270,7 +223,7 @@ def qubit_alpha_separator(n: int, trials: int = 200, seed: int = 0,
                     f"level-{k} dimension bound violated: dim {val.dim} in "
                     f"C^{assignment.ambient}")
 
-    holds = falsify(separator, low, trials, seed, audit=_audit)
+    holds = falsify(separator, low, trials, seed, entry_bound=entry_bound, audit=_audit)
     if holds.status != NO_COUNTEREXAMPLE:
         raise RuntimeError(
             f"iterated test formula unexpectedly failed in C^{low}; this is a bug")

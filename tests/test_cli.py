@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from qlat.cli import main
-from qlat.formula import evaluate_equation, parse
+from qlat.formula import evaluate_equation, parse, to_source
 from qlat.search import verdict_from_json
 from qlat.subspace import span, subspace_to_json
 
@@ -120,6 +120,11 @@ class TestCheckLaw:
                          "--dim", "2", "--json", "--seed", "11")
         assert out1 == out2
 
+    def test_parallel_flag_removed(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["check-law", "modularity", "--dim", "2", "--parallel"])
+        assert exc.value.code == 2
+
     def test_size_cap_env(self, capsys, monkeypatch):
         monkeypatch.setenv("QLAT_SIZE_CAP", "4")
         code, _, err = run(capsys, "check-law", "modularity", "--dim", "8")
@@ -196,6 +201,29 @@ class TestSeparate:
         code, _, _ = run(capsys, "separate", "3", "2")
         assert code == 2
 
+    def test_entry_bound_reaches_both_routes(self, capsys):
+        for m, n in (("2", "3"), ("2", "4")):
+            code, out, err = run(capsys, "separate", m, n, "--trials", "5",
+                                 "--entry-bound", "0")
+            assert code == 2 and out == ""
+            assert err == "error: entry bound must be at least 1\n"
+
+    def test_size_cap_on_both_routes(self, capsys, monkeypatch):
+        monkeypatch.delenv("QLAT_SIZE_CAP", raising=False)
+        for m, n in (("3", "17"), ("16", "32")):
+            code, out, err = run(capsys, "separate", m, n)
+            assert code == 2 and out == ""
+            assert err == f"error: dimension {n} exceeds the size cap 16\n"
+
+    def test_deepest_generated_separator_round_trips(self, capsys):
+        # level 4 of the iterated test formula, 884878 characters of text
+        code, out, _ = run(capsys, "separate", "8", "16", "--trials", "1", "--json")
+        assert code == 0
+        report = json.loads(out)
+        verdict = verdict_from_json(report["fails_witness"])
+        assert verdict.ambient_dim == 16
+        assert to_source(verdict.equation) == report["separator"]
+
 
 class TestPrinters:
     def test_alpha_source(self, capsys):
@@ -265,4 +293,18 @@ class TestEntryPoint:
             [sys.executable, "-m", "qlat.cli", "falsify", "((", "--dim", "2"],
             capture_output=True, text=True)
         assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("text", [
+        "~" * 3000 + "x = x",
+        "(" * 3000 + "x" + ")" * 3000,
+        " | ".join(["x"] * 3000) + " = x",
+    ], ids=["negations", "parentheses", "left-deep-join"])
+    def test_deep_formula_text_exit_2(self, text):
+        proc = subprocess.run(
+            [sys.executable, "-m", "qlat.cli", "falsify", text, "--dim", "2"],
+            capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.count("\n") == 1 and "nested deeper than" in proc.stderr
         assert "Traceback" not in proc.stderr

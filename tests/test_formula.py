@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from helpers import random_assignment, random_formula
 from qlat.formula import (
+    MAX_PARSE_DEPTH,
     And,
     Assignment,
     Equation,
@@ -101,6 +102,36 @@ class TestParse:
             parse_formula("p = q")
         with pytest.raises(ParseError):
             parse_equation("p & q")
+
+
+class TestParseDepth:
+    # each connective and each parenthesized group is one level
+    M = MAX_PARSE_DEPTH
+
+    @pytest.mark.parametrize("build", [
+        lambda k: "~" * k + "x",
+        lambda k: "(" * k + "x" + ")" * k,
+        lambda k: " | ".join(["x"] * (k + 1)),
+        lambda k: " & ".join(["x"] * (k + 1)),
+        lambda k: "(" * (k - 2) + "~~x" + ")" * (k - 2),
+        lambda k: "(" + " | ".join(["x"] * k) + ")",
+    ], ids=["negations", "parentheses", "left-deep-join", "left-deep-meet", "mixed",
+            "grouped-join"])
+    def test_limit_is_exact(self, build):
+        parse(build(self.M))
+        with pytest.raises(ParseError, match=f"deeper than {self.M} levels"):
+            parse(build(self.M + 1))
+
+    def test_equation_sides_limited(self):
+        deep = " | ".join(["x"] * (self.M + 2))
+        with pytest.raises(ParseError):
+            parse(f"x = {deep}")
+        with pytest.raises(ParseError):
+            parse(f"{deep} <= x")
+
+    def test_generated_separators_parse(self):
+        for eq in (m_distributive(15), Equation(alpha_levels(3)[-1], ZERO, "=")):
+            assert parse(to_source(eq)) == eq
 
 
 class TestPrint:
