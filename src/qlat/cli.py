@@ -175,6 +175,8 @@ def cmd_alpha(args) -> int:
 
 
 def cmd_mdist(args) -> int:
+    if args.m > size_cap():
+        raise UsageError(f"m = {args.m} exceeds the size cap {size_cap()}")
     print(to_source(m_distributive(args.m)))
     return EXIT_OK
 

@@ -7,6 +7,11 @@ on Gaussian-integer rows (Montante/Bareiss full elimination), which keeps
 intermediate entries bounded by minors of the input and stays fast even when
 coefficients grow large. The reduced row echelon form is unique, so it doubles
 as a canonical form: two row spaces are equal iff their RREFs are identical.
+
+``rank_mod_p`` is the one modular routine: a rank over F_p, through a ring
+homomorphism Z[i] -> F_p, that bounds the exact rank from below. It certifies
+full-rank outcomes without an exact elimination and never decides anything
+else.
 """
 
 from __future__ import annotations
@@ -348,6 +353,47 @@ def _canonical(rows: list[list[tuple[int, int]]], ncols: int):
     g = gcd(den, *(x for row in num for z in row for x in z))
     return (tuple(tuple((a // g, b // g) for a, b in row) for row in num),
             den // g, tuple(piv))
+
+
+MOD_P = 2147483629  # prime, and 1 (mod 4), so -1 is a square mod MOD_P
+MOD_I = 629208553   # MOD_I ** 2 == -1 (mod MOD_P)
+
+
+def rank_mod_p(rows, ncols: int) -> int:
+    """Rank over F_p, p = MOD_P, of Gaussian-integer rows of ``(re, im)``
+    pairs; a lower bound on their rank over Q(i).
+
+    Proof: with s = MOD_I, a + bi -> (a + b*s) mod p is a ring homomorphism
+    Z[i] -> F_p, since s^2 = -1 in F_p. A minor is a polynomial in the
+    entries, so every minor of the rows maps to the same minor of their image.
+    A nonzero r x r minor mod p is therefore nonzero over Z[i], and
+    rank mod p <= rank over Q(i). A mod-p rank equal to ``ncols`` proves the
+    rows span the whole space; one equal to the row count proves the rows
+    independent. A smaller value proves nothing.
+
+    Elimination is fraction-free, row <- pivot*row - f*prow (mod p): scaling
+    a row by a nonzero pivot keeps the rank, and no modular inverse is taken.
+    """
+    p, s = MOD_P, MOD_I
+    m = [[(a + b * s) % p for a, b in row] for row in rows]
+    nrows = len(m)
+    rank = 0
+    for c in range(ncols):
+        if rank == nrows:
+            break
+        pivot = next((r for r in range(rank, nrows) if m[r][c]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        prow = m[rank][c:]
+        pv = prow[0]
+        for r in range(rank + 1, nrows):
+            row = m[r]
+            f = row[c]
+            if f:
+                row[c:] = [(pv * x - f * y) % p for x, y in zip(row[c:], prow)]
+        rank += 1
+    return rank
 
 
 def _rational_matrix(num, den: int, ncols: int) -> RationalMatrix:

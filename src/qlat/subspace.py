@@ -5,6 +5,13 @@ the smallest positive common denominator, plus pivot columns, so equality is
 syntactic. Join eliminates the stacked integer rows once, ortho reads the
 kernel off the RREF, meet is the De Morgan dual ~(~a | ~b) over orthocomplements
 cached in both directions, and leq reduces rows without any elimination.
+
+Before eliminating, join and meet try a certificate: the rank of the stacked
+rows modulo one prime (``linalg.rank_mod_p``), a lower bound on their exact
+rank. Mod-p rank n proves a join is the full space; mod-p rank dim a + dim b
+proves the rows independent, so dim(a & b) = dim a + dim b - dim(a | b) = 0.
+Any other outcome falls through to the exact path, so a certificate is never
+wrong, only sometimes unused. The full space is one shared value per ambient.
 All operations are exact and pure; values are immutable and freely shareable.
 """
 
@@ -12,6 +19,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 from .linalg import (
     RationalMatrix,
@@ -21,6 +29,7 @@ from .linalg import (
     _rational_matrix,
     entry_from_json,
     entry_to_json,
+    rank_mod_p,
 )
 
 REDRAW_CAP = 1000
@@ -45,8 +54,8 @@ class Subspace:
 
     @classmethod
     def full(cls, ambient: int) -> "Subspace":
-        rows = tuple(tuple((int(i == j), 0) for j in range(ambient)) for i in range(ambient))
-        return cls(ambient, rows, 1, tuple(range(ambient)))
+        """The whole of C^ambient; one shared value per ambient."""
+        return _full_space(ambient)
 
     @property
     def basis(self) -> RationalMatrix:
@@ -111,12 +120,16 @@ class Subspace:
         return True
 
     def meet(self, other: "Subspace") -> "Subspace":
-        """Set intersection, as the De Morgan dual ~(~self | ~other)."""
+        """Set intersection, as the De Morgan dual ~(~self | ~other), unless
+        the stacked rows are independent mod p, which makes the meet 0."""
         self._check_ambient(other)
         if self.is_zero() or other.is_full():
             return self
         if other.is_zero() or self.is_full():
             return other
+        k = self.dim + other.dim
+        if k <= self.ambient and rank_mod_p(self.rows + other.rows, self.ambient) == k:
+            return Subspace.full(self.ambient).ortho()
         return self.ortho().join(other.ortho()).ortho()
 
     def join(self, other: "Subspace") -> "Subspace":
@@ -126,8 +139,11 @@ class Subspace:
             return other
         if other.is_zero() or self.is_full():
             return self
-        rows = [list(r) for r in self.rows + other.rows]
-        return Subspace(self.ambient, *_canonical(rows, self.ambient))
+        n = self.ambient
+        rows = self.rows + other.rows
+        if len(rows) >= n and rank_mod_p(rows, n) == n:
+            return Subspace.full(n)
+        return Subspace(n, *_canonical([list(r) for r in rows], n))
 
     def ortho(self) -> "Subspace":
         """Orthogonal complement: all v with <b, v> = sum conj(b_i) v_i = 0,
@@ -163,6 +179,17 @@ class Subspace:
                 v[slice(j, None, f) if side == "right" else slice(j * n, (j + 1) * n)] = row
                 rows.append(v)
         return Subspace(n * f, *_canonical(rows, n * f))
+
+
+@lru_cache(maxsize=None)
+def _full_space(ambient: int) -> Subspace:
+    """The shared full space of C^ambient, linked both ways to a zero as its
+    ortho, so neither orthocomplement is ever eliminated."""
+    rows = tuple(tuple((int(i == j), 0) for j in range(ambient)) for i in range(ambient))
+    full = Subspace(ambient, rows, 1, tuple(range(ambient)))
+    full._ortho = Subspace(ambient)
+    full._ortho._ortho = full
+    return full
 
 
 def span(vectors, ambient: int) -> Subspace:

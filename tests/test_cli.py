@@ -241,6 +241,19 @@ class TestPrinters:
         assert code == 0
         assert out.strip().startswith("x & (y0 | y1 | y2) =")
 
+    def test_mdist_at_size_cap_prints(self, capsys):
+        code, out, _ = run(capsys, "mdist", "16")
+        assert code == 0
+        assert out.strip().startswith("x & (y0 | y1 |")
+
+    def test_mdist_over_size_cap_exit_2(self):
+        proc = subprocess.run([sys.executable, "-m", "qlat.cli", "mdist", "500"],
+                              capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.count("\n") == 1 and "size cap 16" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 class TestTl:
     def test_relations(self, capsys):

@@ -15,6 +15,8 @@ from qlat.linalg import (
     GR_I,
     GR_ONE,
     GR_ZERO,
+    MOD_I,
+    MOD_P,
     GaussianRational,
     RationalMatrix,
     conj_transpose,
@@ -23,6 +25,8 @@ from qlat.linalg import (
     kernel,
     kron,
     matmul,
+    rank,
+    rank_mod_p,
     rref,
     vstack,
 )
@@ -150,6 +154,46 @@ class TestRref:
         for _ in range(60):
             m = random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
             assert rref(m)[1] == rref(conj_transpose(m))[1]
+
+
+class TestRankModP:
+    # Gaussian integers that map to 0 in F_p.
+    VANISHING = [(MOD_P, 0), (MOD_I, -1), (MOD_P - MOD_I, 1), (2 * MOD_P, MOD_P)]
+
+    @staticmethod
+    def exact_rank(rows, ncols):
+        return rank(RationalMatrix(len(rows), ncols,
+                                   [[GaussianRational(*z) for z in r] for r in rows]))
+
+    def test_constants(self):
+        assert MOD_P % 4 == 1 and MOD_I * MOD_I % MOD_P == MOD_P - 1
+
+    def test_vanishing_entry_drops_rank(self):
+        rows = [[(1, 0), (0, 0)], [(1, 0), (MOD_P - MOD_I, 1)]]
+        assert rank_mod_p(rows, 2) == 1
+        assert self.exact_rank(rows, 2) == 2
+
+    def test_generic_rank_agrees(self):
+        rows = [[(1, 2), (0, 1), (3, 0)], [(0, 0), (2, -1), (1, 1)]]
+        assert rank_mod_p(rows, 3) == self.exact_rank(rows, 3) == 2
+        assert rank_mod_p([], 3) == 0
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
+    def test_lower_bound_on_exact_rank(self, nrows, ncols, seed):
+        rng = random.Random(seed)
+
+        def entry():
+            if rng.random() < 0.3:
+                return rng.choice(self.VANISHING)
+            return rng.randint(-3, 3), rng.randint(-3, 3)
+
+        rows = [[entry() for _ in range(ncols)] for _ in range(nrows)]
+        if rng.random() < 0.5:
+            # Equal to the first row mod p, usually independent of it over Q(i).
+            rows.append([(re + MOD_P * rng.randint(-1, 1), im + MOD_P * rng.randint(-1, 1))
+                         for re, im in rows[0]])
+        assert rank_mod_p(rows, ncols) <= self.exact_rank(rows, ncols)
 
 
 class TestKernel:

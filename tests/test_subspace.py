@@ -7,19 +7,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qlat.subspace
 from qlat.linalg import (
     GR_I,
+    MOD_I,
+    MOD_P,
     GaussianRational,
     RationalMatrix,
     conj_entries,
     entry_to_json,
     kernel,
+    rank_mod_p,
     row_space,
     vstack,
 )
 from qlat.subspace import (
     Subspace,
     random_subspace,
+    random_subspace_rng,
     span,
     subspace_from_json,
     subspace_to_json,
@@ -31,7 +36,6 @@ DIAG = span([[1, 1]], 2)
 
 
 def random_sub(rng, ambient):
-    from qlat.subspace import random_subspace_rng
     return random_subspace_rng(rng, ambient, rng.randint(0, ambient))
 
 
@@ -285,3 +289,73 @@ class TestIntegerKernelOracle:
             assert subspace_to_json(~x) == _oracle_json(n, _oracle_ortho(ox))
             assert x.leq(y) == (meet == x)
             assert y.leq(x) == (meet == y)
+
+
+class TestModularCertificates:
+    """Join and meet short-cut to the full space and to 0 when the stacked
+    rows have full rank mod p; anything else takes the exact path."""
+
+    @pytest.mark.parametrize("entry", [MOD_P, GaussianRational(MOD_P - MOD_I, 1)],
+                             ids=["real", "gaussian"])
+    def test_fallback_when_rank_drops_mod_p(self, entry):
+        # (1, entry) is independent of e0 over Q(i), but entry = 0 mod p.
+        a, b = span([[1, 0]], 2), span([[1, entry]], 2)
+        assert rank_mod_p(a.rows + b.rows, 2) < 2
+        assert (a | b).is_full()
+        assert (a & b).is_zero()
+
+    def test_full_is_shared(self):
+        assert Subspace.full(5) is Subspace.full(5)
+        assert Subspace.full(5).ortho().is_zero()
+        assert Subspace.full(5).ortho().ortho() is Subspace.full(5)
+
+    @pytest.fixture
+    def eliminations(self, monkeypatch):
+        calls = []
+        exact = qlat.subspace._canonical
+
+        def counted(rows, ncols):
+            calls.append(ncols)
+            return exact(rows, ncols)
+
+        monkeypatch.setattr(qlat.subspace, "_canonical", counted)
+        return calls
+
+    def test_generic_full_join_eliminates_nothing(self, eliminations):
+        a, b = random_subspace(16, 8, seed=1), random_subspace(16, 8, seed=2)
+        eliminations.clear()
+        assert (a | b) is Subspace.full(16)
+        assert eliminations == []
+
+    def test_generic_zero_meet_eliminates_nothing(self, eliminations):
+        a, b = random_subspace(16, 5, seed=3), random_subspace(16, 6, seed=4)
+        eliminations.clear()
+        assert (a & b).is_zero()
+        assert eliminations == []
+        assert a._ortho is None and b._ortho is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(9, 16), st.sampled_from(["generic", "overlap", "trap"]),
+           st.integers(0, 2 ** 32 - 1))
+    def test_matches_oracle_high_dim(self, n, mode, seed):
+        # "generic" operands fire the join certificate when da + db >= n and
+        # the meet certificate when da + db <= n. "overlap" shares rows, so
+        # the stacked rows are dependent over Q(i); "trap" adds p to one free
+        # entry of each row of a, which changes the span over Q(i) but not
+        # mod p. Both make the certificates miss.
+        rng = random.Random(seed)
+        a = random_subspace_rng(rng, n, rng.randint(1, n - 1), 2)
+        if mode == "generic":
+            b = random_subspace_rng(rng, n, rng.randint(1, n - 1), 2)
+        elif mode == "overlap":
+            shared = [list(r) for r in a.rows[:rng.randint(1, a.dim)]]
+            extra = random_subspace_rng(rng, n, rng.randint(0, n - len(shared)), 2)
+            b = span([[GaussianRational(*z) for z in r] for r in shared + list(extra.rows)], n)
+        else:
+            f = next(c for c in range(n) if c not in a.piv)
+            b = span([[GaussianRational(re + MOD_P * (c == f), im) for c, (re, im) in enumerate(r)]
+                      for r in a.rows], n)
+            assert rank_mod_p(a.rows + b.rows, n) == a.dim
+        oa, ob = a.basis, b.basis
+        assert subspace_to_json(a | b) == _oracle_json(n, _oracle_join(oa, ob))
+        assert subspace_to_json(a & b) == _oracle_json(n, _oracle_meet(oa, ob))
