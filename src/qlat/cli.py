@@ -2,9 +2,10 @@
 
 Every command is scriptable and deterministic: JSON output is byte-identical
 for identical configuration (stable key order, seeds always recorded), and
-the human-readable mode renders the same data. Exit codes: 0 for success or
-no counterexample, 1 for a found counterexample or a violated structural
-bound, 2 for usage and parse errors.
+the human-readable mode renders the same data. Each subcommand declares only
+the flags it reads (``build_parser``), so any other flag is a usage error.
+Exit codes: 0 for success or no counterexample, 1 for a found counterexample
+or a violated structural bound, 2 for usage and parse errors.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from . import __version__
 from .formula import (
     Equation,
     ParseError,
-    UnboundVariableError,
     alpha_iter,
     assignment_from_json,
     evaluate,
@@ -49,6 +49,7 @@ from .templieb import (
     jones_wenzl,
     jw_at_root,
     markov_trace,
+    projector_level_error,
     root_params,
     tl_to_json,
 )
@@ -58,6 +59,10 @@ EXIT_FOUND = 1
 EXIT_USAGE = 2
 
 MAX_ALPHA_PRINT = 5  # printed source grows ~21x per level (m=5 is ~18 MB)
+# Above 32, certificates stop replaying from their JSON: the text of
+# m_distributive(64) nests past formula.MAX_PARSE_DEPTH. At 32, `separate 16 32`
+# already prints an ~18 MB separator, as large as `alpha 5`.
+MAX_SIZE_CAP = 32
 
 
 class UsageError(Exception):
@@ -70,8 +75,8 @@ def size_cap() -> int:
         cap = int(raw)
     except ValueError:
         raise UsageError(f"QLAT_SIZE_CAP must be an integer, got {raw!r}")
-    if cap < 1:
-        raise UsageError("QLAT_SIZE_CAP must be positive")
+    if not 1 <= cap <= MAX_SIZE_CAP:
+        raise UsageError(f"QLAT_SIZE_CAP must be in 1..{MAX_SIZE_CAP}, got {cap}")
     return cap
 
 
@@ -96,7 +101,7 @@ def _render_human(report: dict, indent: str = "") -> None:
 
 def _stamp(report: dict, args) -> dict:
     report["version"] = __version__
-    report["seed"] = getattr(args, "seed", 0)
+    report["seed"] = args.seed
     return report
 
 
@@ -118,7 +123,7 @@ def cmd_eval(args) -> int:
     try:
         with open(args.assignment) as fh:
             raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise UsageError(f"cannot read assignment file: {exc}")
     assignment = assignment_from_json(raw, args.dim)
     if assignment.ambient > size_cap():
@@ -191,6 +196,8 @@ def cmd_tl(args) -> int:
 
 def _tl_relations(args) -> int:
     n = args.n
+    if args.r is not None:
+        raise UsageError("--r applies only to tl jw and tl trace")
     if not 2 <= n <= 8:
         raise UsageError("--n must be in 2..8 for relation checks")
     checks = []
@@ -217,20 +224,15 @@ def _tl_relations(args) -> int:
 
 
 def _tl_jw(args) -> int:
-    n = args.n
+    n, r = args.n, args.r
     if n < 1:
         raise UsageError("--n must be at least 1")
     if n > 8:
         raise UsageError("--n above 8 is too large for the exact projector")
-    if args.r is not None:
-        if args.r < 3:
-            raise UsageError("--r must be an integer >= 3")
-        if n > args.r - 1:
-            report = _stamp({
-                "error": f"projector level {n} unavailable at r={args.r}: "
-                         f"defined only for n = 1..{args.r - 1}",
-            }, args)
-            emit(report, args)
+    if r is not None:
+        error = projector_level_error(n, r)
+        if error:
+            emit(_stamp({"error": error}, args), args)
             return EXIT_FOUND
     p = jones_wenzl(n)
     trace = markov_trace(p)
@@ -242,11 +244,11 @@ def _tl_jw(args) -> int:
         "trace": repr(trace),
         "trace_matches_chebyshev": trace == expected,
     }
-    if args.r is not None:
-        numeric = jw_at_root(n, args.r)
-        report["r"] = args.r
-        report["d"] = root_params(args.r)
-        report["numeric_trace"] = eval_at_root(trace, args.r)
+    if r is not None:
+        numeric = jw_at_root(n, r)
+        report["r"] = r
+        report["d"] = root_params(r)
+        report["numeric_trace"] = eval_at_root(trace, r)
         report["numeric_coefficients"] = [
             {"pairing": [[a, b] for a, b in diag.pairing], "value": numeric.terms[diag]}
             for diag in sorted(numeric.terms)
@@ -256,78 +258,81 @@ def _tl_jw(args) -> int:
 
 
 def _tl_trace(args) -> int:
-    n = args.n
+    n, r = args.n, args.r
     if not 2 <= n <= 8:
         raise UsageError("--n must be in 2..8")
+    d = None if r is None else root_params(r)
     tr_e = markov_trace(generator_e(n, 1))
     rows = [{"element": "e_i", "trace": repr(tr_e)}]
     for j in range(1, n):
         rows.append({"element": f"p_{j}", "trace": repr(markov_trace(include_upto(j, n)))})
     report = {"n": n, "traces": rows}
-    if args.r is not None:
-        if args.r < 3:
-            raise UsageError("--r must be an integer >= 3")
-        d = root_params(args.r)
-        report["r"] = args.r
+    if r is not None:
+        report["r"] = r
         report["d"] = d
         report["numeric"] = {
-            "tr(e_i)": eval_at_root(tr_e, args.r),
-            "quarter_sec_squared": 0.25 / math.cos(math.pi / args.r) ** 2,
+            "tr(e_i)": eval_at_root(tr_e, r),
+            "quarter_sec_squared": 0.25 / math.cos(math.pi / r) ** 2,
         }
     emit(_stamp(report, args), args)
     return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="RNG seed (recorded in output)")
-    common.add_argument("--trials", type=int, default=None, help="number of sampled evaluations")
-    common.add_argument("--dim", type=int, default=None, help="ambient dimension")
-    common.add_argument("--entry-bound", type=int, default=3,
-                        help="max |re|, |im| of random Gaussian-integer entries")
-    common.add_argument("--json", action="store_true", help="machine-readable output")
+    # Two flag groups; each subcommand takes the groups and flags it reads.
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument("--seed", type=int, default=0, help="RNG seed (recorded in output)")
+    report.add_argument("--json", action="store_true", help="machine-readable output")
+    sampling = argparse.ArgumentParser(add_help=False)
+    sampling.add_argument("--trials", type=int, default=1000,
+                          help="number of sampled evaluations")
+    sampling.add_argument("--entry-bound", type=int, default=3,
+                          help="max |re|, |im| of random Gaussian-integer entries")
 
     parser = argparse.ArgumentParser(
         prog="qlat",
         description="Exact subspace-lattice logic of qubit registers.")
     parser.add_argument("--version", action="version", version=f"qlat {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+    # prog given, so argparse need not format a usage line to derive it
+    sub = parser.add_subparsers(dest="command", required=True, prog="qlat")
 
-    p = sub.add_parser("eval", parents=[common],
+    p = sub.add_parser("eval", parents=[report],
                        help="evaluate a formula at an assignment file")
     p.add_argument("formula")
     p.add_argument("assignment", help="JSON file mapping variable -> subspace")
+    p.add_argument("--dim", type=int, help="ambient dimension (default: the file's)")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("check-law", parents=[common],
+    p = sub.add_parser("check-law", parents=[report, sampling],
                        help="falsification search for a catalog law or a formula")
     p.add_argument("target", help="law name, formula, or equation")
+    p.add_argument("--dim", type=int, help="ambient dimension (required)")
     p.set_defaults(func=lambda a: cmd_check(a, _resolve_check_target))
 
-    p = sub.add_parser("falsify", parents=[common],
+    p = sub.add_parser("falsify", parents=[report, sampling],
                        help="falsification search for an equation or formula")
     p.add_argument("target", help="equation or formula source text")
+    p.add_argument("--dim", type=int, help="ambient dimension (required)")
     p.set_defaults(func=lambda a: cmd_check(a, parse))
 
-    p = sub.add_parser("separate", parents=[common],
+    p = sub.add_parser("separate", parents=[report, sampling],
                        help="separation certificate for two ambient dimensions")
     p.add_argument("m", type=int)
     p.add_argument("n", type=int)
     p.set_defaults(func=cmd_separate)
 
-    p = sub.add_parser("alpha", parents=[common],
-                       help="print the m-fold iterated distribution test formula")
+    p = sub.add_parser("alpha", help="print the m-fold iterated distribution test formula")
     p.add_argument("m", type=int)
     p.set_defaults(func=cmd_alpha)
 
-    p = sub.add_parser("mdist", parents=[common], help="print the m-distributive law")
+    p = sub.add_parser("mdist", help="print the m-distributive law")
     p.add_argument("m", type=int)
     p.set_defaults(func=cmd_mdist)
 
-    p = sub.add_parser("tl", parents=[common], help="Temperley-Lieb algebra reports")
+    p = sub.add_parser("tl", parents=[report], help="Temperley-Lieb algebra reports")
     p.add_argument("tl_command", choices=["relations", "jw", "trace"])
     p.add_argument("--n", type=int, required=True, help="strand count / projector level")
-    p.add_argument("--r", type=int, default=None, help="root-of-unity level (>= 3)")
+    p.add_argument("--r", type=int, help="root-of-unity level (jw and trace only)")
     p.set_defaults(func=cmd_tl)
 
     return parser
@@ -336,23 +341,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.trials is None:
-        args.trials = 1000
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except UnboundVariableError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except PoleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FOUND
-    except (ValueError, TypeError) as exc:
+    except (UsageError, ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -11,7 +11,8 @@ rows modulo one prime (``linalg.rank_mod_p``), a lower bound on their exact
 rank. Mod-p rank n proves a join is the full space; mod-p rank dim a + dim b
 proves the rows independent, so dim(a & b) = dim a + dim b - dim(a | b) = 0.
 Any other outcome falls through to the exact path, so a certificate is never
-wrong, only sometimes unused. The full space is one shared value per ambient.
+wrong, only sometimes unused. The full space and the zero are one shared pair
+of values per ambient, each the other's ortho.
 All operations are exact and pure; values are immutable and freely shareable.
 """
 
@@ -50,7 +51,9 @@ class Subspace:
 
     @classmethod
     def zero(cls, ambient: int) -> "Subspace":
-        return cls(ambient)
+        """The zero of C^ambient; one shared value per ambient, the ortho of
+        the shared full space."""
+        return _full_space(ambient)._ortho
 
     @classmethod
     def full(cls, ambient: int) -> "Subspace":
@@ -129,7 +132,7 @@ class Subspace:
             return other
         k = self.dim + other.dim
         if k <= self.ambient and rank_mod_p(self.rows + other.rows, self.ambient) == k:
-            return Subspace.full(self.ambient).ortho()
+            return Subspace.zero(self.ambient)
         return self.ortho().join(other.ortho()).ortho()
 
     def join(self, other: "Subspace") -> "Subspace":
@@ -183,8 +186,8 @@ class Subspace:
 
 @lru_cache(maxsize=None)
 def _full_space(ambient: int) -> Subspace:
-    """The shared full space of C^ambient, linked both ways to a zero as its
-    ortho, so neither orthocomplement is ever eliminated."""
+    """The shared full space of C^ambient, linked both ways to the shared zero
+    as its ortho, so neither orthocomplement is ever eliminated."""
     rows = tuple(tuple((int(i == j), 0) for j in range(ambient)) for i in range(ambient))
     full = Subspace(ambient, rows, 1, tuple(range(ambient)))
     full._ortho = Subspace(ambient)

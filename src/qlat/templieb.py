@@ -502,17 +502,26 @@ class NumericTLElement:
         return self.terms.get(diag, 0.0)
 
 
+def projector_level_error(n: int, r: int) -> str | None:
+    """Why the level-n projector has no value at the level-r root of unity, or
+    None when it has one. The rule: at a level-r root the projectors exist
+    consecutively only up to n = r-1. An r that ``root_params`` rejects raises
+    its ValueError."""
+    root_params(r)
+    if 1 <= n <= r - 1:
+        return None
+    return f"projector level {n} unavailable at r={r}: defined only for n = 1..{r - 1}"
+
+
 def jw_at_root(n: int, r: int) -> NumericTLElement:
     """The projector specialized at d = 2 cos(pi/r).
 
-    At a level-r root the projectors exist consecutively only up to n = r-1;
-    larger n is rejected. Coefficient denominators are checked against poles.
+    A level that ``projector_level_error`` rules out raises ValueError.
+    Coefficient denominators are checked against poles.
     """
-    if not isinstance(r, int) or r < 3:
-        raise ValueError("r must be an integer >= 3")
-    if not 1 <= n <= r - 1:
-        raise ValueError(
-            f"projector level {n} unavailable at r={r}: defined only for n = 1..{r - 1}")
+    error = projector_level_error(n, r)
+    if error:
+        raise ValueError(error)
     p = jones_wenzl(n)
     return NumericTLElement(n, {diag: eval_at_root(c, r) for diag, c in p.terms.items()})
 

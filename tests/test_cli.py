@@ -7,8 +7,8 @@ import sys
 
 import pytest
 
-from qlat.cli import main
-from qlat.formula import evaluate_equation, parse, to_source
+from qlat.cli import build_parser, main
+from qlat.formula import evaluate_equation, m_distributive, parse, to_source
 from qlat.search import verdict_from_json
 from qlat.subspace import span, subspace_to_json
 
@@ -67,6 +67,17 @@ class TestEval:
         code, out, err = run(capsys, "eval", "p", str(path))
         assert code == 2
         assert out == "" and err.count("\n") == 1 and "denominator" in err
+
+    def test_deeply_nested_file_exit_2(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000)
+        proc = subprocess.run([sys.executable, "-m", "qlat.cli", "eval", "p", str(path)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.count("\n") == 1
+        assert proc.stderr.startswith("error: cannot read assignment file: ")
+        assert "Traceback" not in proc.stderr
 
     def test_ambient_over_size_cap_exit_2(self, capsys, tmp_path, monkeypatch):
         path = tmp_path / "big.json"
@@ -132,6 +143,13 @@ class TestCheckLaw:
         monkeypatch.setenv("QLAT_SIZE_CAP", "bogus")
         code, _, err = run(capsys, "check-law", "modularity", "--dim", "2")
         assert code == 2
+
+    @pytest.mark.parametrize("cap", ["0", "33", "500"])
+    def test_size_cap_env_out_of_range(self, capsys, monkeypatch, cap):
+        monkeypatch.setenv("QLAT_SIZE_CAP", cap)
+        code, out, err = run(capsys, "mdist", "2")
+        assert code == 2 and out == ""
+        assert err == f"error: QLAT_SIZE_CAP must be in 1..32, got {cap}\n"
 
 
 # sha256 of stdout; any change to the canonical form or to the search order
@@ -246,6 +264,13 @@ class TestPrinters:
         assert code == 0
         assert out.strip().startswith("x & (y0 | y1 |")
 
+    def test_mdist_at_largest_size_cap_parses_back(self, capsys, monkeypatch):
+        monkeypatch.setenv("QLAT_SIZE_CAP", "32")
+        code, out, _ = run(capsys, "mdist", "32")
+        assert code == 0
+        assert parse(out.strip()) == m_distributive(32)
+        assert to_source(parse(out.strip())) == out.strip()
+
     def test_mdist_over_size_cap_exit_2(self):
         proc = subprocess.run([sys.executable, "-m", "qlat.cli", "mdist", "500"],
                               capture_output=True, text=True)
@@ -285,6 +310,25 @@ class TestTl:
         assert hashlib.sha256(out.encode()).hexdigest() == dict(GOLDEN_STDOUT)[
             "tl trace --n 5 --r 7 --json"]
 
+    def test_relations_rejects_r(self, capsys):
+        code, out, err = run(capsys, "tl", "relations", "--n", "3", "--r", "5")
+        assert code == 2 and out == ""
+        assert err == "error: --r applies only to tl jw and tl trace\n"
+
+    def test_trace_rejects_small_r_before_any_trace(self, capsys, monkeypatch):
+        import qlat.cli
+
+        calls = []
+        monkeypatch.setattr(qlat.cli, "markov_trace", lambda x: calls.append(x))
+        code, out, err = run(capsys, "tl", "trace", "--n", "3", "--r", "2")
+        assert code == 2 and out == "" and calls == []
+        assert err == "error: r must be an integer >= 3\n"
+
+    def test_jw_rejects_small_r(self, capsys):
+        code, out, err = run(capsys, "tl", "jw", "--n", "3", "--r", "2", "--json")
+        assert code == 2 and out == ""
+        assert err == "error: r must be an integer >= 3\n"
+
     def test_trace(self, capsys):
         code, out, _ = run(capsys, "tl", "trace", "--n", "3", "--r", "4", "--json")
         assert code == 0
@@ -321,3 +365,48 @@ class TestEntryPoint:
         assert proc.stdout == ""
         assert proc.stderr.count("\n") == 1 and "nested deeper than" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+# Each subcommand takes exactly the flags it reads; any other flag is a usage
+# error from the parser.
+BASE_ARGV = {
+    "eval": ["eval", "p", "a.json"],
+    "check-law": ["check-law", "modularity"],
+    "falsify": ["falsify", "x = x"],
+    "separate": ["separate", "2", "3"],
+    "alpha": ["alpha", "1"],
+    "mdist": ["mdist", "2"],
+    "tl": ["tl", "jw", "--n", "3"],
+}
+FLAG_VALUES = {"--seed": ("7", 7), "--json": (None, True), "--trials": ("7", 7),
+               "--entry-bound": ("7", 7), "--dim": ("7", 7)}
+KEPT_FLAGS = {
+    "eval": {"--seed", "--json", "--dim"},
+    "check-law": {"--seed", "--json", "--trials", "--entry-bound", "--dim"},
+    "falsify": {"--seed", "--json", "--trials", "--entry-bound", "--dim"},
+    "separate": {"--seed", "--json", "--trials", "--entry-bound"},
+    "alpha": set(),
+    "mdist": set(),
+    "tl": {"--seed", "--json"},
+}
+FLAG_MATRIX = [(cmd, flag, flag in KEPT_FLAGS[cmd]) for cmd in BASE_ARGV for flag in FLAG_VALUES]
+
+
+@pytest.mark.parametrize("cmd,flag,kept", FLAG_MATRIX,
+                         ids=[f"{c}{f}" for c, f, _ in FLAG_MATRIX])
+def test_flag_matrix(capsys, cmd, flag, kept):
+    raw, value = FLAG_VALUES[flag]
+    argv = BASE_ARGV[cmd] + [flag] + ([] if raw is None else [raw])
+    if kept:
+        args = build_parser().parse_args(argv)
+        assert getattr(args, flag[2:].replace("-", "_")) == value
+    else:
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd", ["check-law", "falsify", "separate"])
+def test_trials_default_in_parser(cmd):
+    assert build_parser().parse_args(BASE_ARGV[cmd]).trials == 1000

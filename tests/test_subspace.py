@@ -327,6 +327,26 @@ class TestModularCertificates:
         assert (a | b) is Subspace.full(16)
         assert eliminations == []
 
+    def test_zero_is_shared(self, eliminations):
+        from qlat.formula import evaluate, parse
+
+        assert Subspace.zero(16) is Subspace.zero(16)
+        assert Subspace.zero(16).ortho() is Subspace.full(16)
+        x = random_subspace(16, 5, seed=5)
+        eliminations.clear()
+        assert Subspace.zero(16).ortho().is_full()
+        assert eliminations == []
+        for _ in range(2):
+            assert evaluate(parse("x | ~0"), {"x": x}).is_full()
+        assert eliminations == []
+
+    def test_cache_clear_resets_full_and_zero(self):
+        full, zero = Subspace.full(7), Subspace.zero(7)
+        qlat.subspace._full_space.cache_clear()
+        assert Subspace.full(7) is not full and Subspace.zero(7) is not zero
+        assert Subspace.zero(7).ortho() is Subspace.full(7)
+        assert Subspace.full(7).ortho() is Subspace.zero(7)
+
     def test_generic_zero_meet_eliminates_nothing(self, eliminations):
         a, b = random_subspace(16, 5, seed=3), random_subspace(16, 6, seed=4)
         eliminations.clear()
