@@ -30,7 +30,9 @@ from .formula import (
 )
 from .search import (
     COUNTEREXAMPLE,
+    DEFAULT_ENTRY_BOUND,
     DEFAULT_SIZE_CAP,
+    DEFAULT_TRIALS,
     audit_invariants,
     certificate_to_json,
     falsify,
@@ -45,7 +47,6 @@ from .templieb import (
     chebyshev,
     eval_at_root,
     generator_e,
-    include_upto,
     jones_wenzl,
     jw_at_root,
     markov_trace,
@@ -126,9 +127,10 @@ def cmd_eval(args) -> int:
     except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise UsageError(f"cannot read assignment file: {exc}")
     assignment = assignment_from_json(raw, args.dim)
-    if assignment.ambient > size_cap():
+    cap = size_cap()
+    if assignment.ambient > cap:
         raise UsageError(f"ambient dimension {assignment.ambient} exceeds the "
-                         f"size cap {size_cap()}")
+                         f"size cap {cap}")
     value = evaluate(formula, assignment)
     report = _stamp({
         "formula": to_source(formula),
@@ -146,8 +148,9 @@ def cmd_check(args, resolve) -> int:
     dim = args.dim
     if dim is None:
         raise UsageError("--dim is required")
-    if dim < 1 or dim > size_cap():
-        raise UsageError(f"--dim must be in 1..{size_cap()}")
+    cap = size_cap()
+    if not 1 <= dim <= cap:
+        raise UsageError(f"--dim must be in 1..{cap}")
     verdict = falsify(eq, dim, args.trials, args.seed, entry_bound=args.entry_bound)
     report = _stamp(verdict_to_json(verdict), args)
     emit(report, args)
@@ -180,8 +183,9 @@ def cmd_alpha(args) -> int:
 
 
 def cmd_mdist(args) -> int:
-    if args.m > size_cap():
-        raise UsageError(f"m = {args.m} exceeds the size cap {size_cap()}")
+    cap = size_cap()
+    if args.m > cap:
+        raise UsageError(f"m = {args.m} exceeds the size cap {cap}")
     print(to_source(m_distributive(args.m)))
     return EXIT_OK
 
@@ -265,7 +269,8 @@ def _tl_trace(args) -> int:
     tr_e = markov_trace(generator_e(n, 1))
     rows = [{"element": "e_i", "trace": repr(tr_e)}]
     for j in range(1, n):
-        rows.append({"element": f"p_{j}", "trace": repr(markov_trace(include_upto(j, n)))})
+        # the normalized trace is invariant under include, so p_j needs no padding
+        rows.append({"element": f"p_{j}", "trace": repr(markov_trace(jones_wenzl(j)))})
     report = {"n": n, "traces": rows}
     if r is not None:
         report["r"] = r
@@ -284,9 +289,9 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--seed", type=int, default=0, help="RNG seed (recorded in output)")
     report.add_argument("--json", action="store_true", help="machine-readable output")
     sampling = argparse.ArgumentParser(add_help=False)
-    sampling.add_argument("--trials", type=int, default=1000,
+    sampling.add_argument("--trials", type=int, default=DEFAULT_TRIALS,
                           help="number of sampled evaluations")
-    sampling.add_argument("--entry-bound", type=int, default=3,
+    sampling.add_argument("--entry-bound", type=int, default=DEFAULT_ENTRY_BOUND,
                           help="max |re|, |im| of random Gaussian-integer entries")
 
     parser = argparse.ArgumentParser(

@@ -484,13 +484,6 @@ def evaluate_equation(eq: Equation, assignment,
 # Generated formulas
 
 
-def and_all(parts: list[Formula]) -> Formula:
-    node = parts[0]
-    for p in parts[1:]:
-        node = And(node, p)
-    return node
-
-
 def or_all(parts: list[Formula]) -> Formula:
     node = parts[0]
     for p in parts[1:]:

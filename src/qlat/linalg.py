@@ -16,6 +16,7 @@ else.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -153,10 +154,21 @@ def entry_to_json(z: GaussianRational) -> list:
     ]
 
 
+_DECIMAL = re.compile(r"[+-]?[0-9]+")
+
+
+def int_from_json(x, what: str) -> int:
+    """A wire-format integer: a JSON integer or a decimal string. Anything
+    else, a float or a boolean among them, is an error, not truncated."""
+    if type(x) is int or (isinstance(x, str) and _DECIMAL.fullmatch(x)):
+        return int(x)
+    raise ValueError(f"{what} must be an integer or a decimal string, got {x!r}")
+
+
 def entry_from_json(item) -> GaussianRational:
     if not isinstance(item, (list, tuple)) or len(item) != 4:
         raise ValueError(f"matrix entry must be a 4-element list, got {item!r}")
-    rn, rd, imn, imd = (int(s) for s in item)
+    rn, rd, imn, imd = (int_from_json(s, "matrix entry part") for s in item)
     if not rd or not imd:
         raise ValueError(f"matrix entry has a zero denominator: {item!r}")
     return GaussianRational(Fraction(rn, rd), Fraction(imn, imd))

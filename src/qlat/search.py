@@ -31,12 +31,12 @@ from .formula import (
     assignment_to_json,
     evaluate,
     evaluate_equation,
+    evaluate_with_cache,
     free_vars,
     m_distributive,
     parse,
     to_source,
 )
-from .linalg import GR_ONE, GR_ZERO
 from .subspace import Subspace, random_subspace_rng, span, subspace_from_json, subspace_to_json
 
 COUNTEREXAMPLE = "counterexample_found"
@@ -185,8 +185,7 @@ def structured_alpha_witness(ambient_dim: int) -> Assignment:
     """
     if ambient_dim < 2 or ambient_dim % 2 != 0:
         raise ValueError("ambient dimension must be even and at least 2")
-    basis = [[GR_ONE if j == i else GR_ZERO for j in range(ambient_dim)]
-             for i in range(ambient_dim)]
+    basis = [[int(j == i) for j in range(ambient_dim)] for i in range(ambient_dim)]
     p, q, r = _half_split_triple(basis, ambient_dim)
     a = Assignment({"p": p, "q": q, "r": r}, ambient_dim)
     h = ambient_dim // 2
@@ -202,10 +201,13 @@ def qubit_alpha_separator(n: int, trials: int = 200, seed: int = 0,
                           size_cap: int = DEFAULT_SIZE_CAP) -> SeparationCertificate:
     """Separate the logics of C^(2^n) and C^(2^(n+1)) by the iterated test
     formula: level n+1 vanishes identically at the low dimension and a
-    chained structured witness gives it dimension exactly 1 at the high one.
+    closed-form witness gives it dimension exactly 1 at the high one.
 
     Every sampled evaluation is audited against the per-level dimension bound
-    dim(level k) <= low / 2^k.
+    dim(level k) <= low / 2^k. Triple k halves the last high/2^(k-1)
+    coordinates into p_k, q_k and their diagonal r_k; within their span
+    q_k & r_k = 0 and p_k | r_k is everything, so level k is q_k. One
+    evaluation of level n+1 yields, and checks, every level.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -228,21 +230,17 @@ def qubit_alpha_separator(n: int, trials: int = 200, seed: int = 0,
         raise RuntimeError(
             f"iterated test formula unexpectedly failed in C^{low}; this is a bug")
 
+    units = [[int(j == i) for j in range(high)] for i in range(high)]
     subs: dict[str, Subspace] = {}
-    assignment = None
-    value = None
     for k in range(1, n + 2):
-        if k == 1:
-            rows = [[GR_ONE if j == i else GR_ZERO for j in range(high)] for i in range(high)]
-        else:
-            rows = [list(r) for r in value.basis.entries]
-        p, q, r = _half_split_triple(rows, high)
-        subs[f"p{k}"], subs[f"q{k}"], subs[f"r{k}"] = p, q, r
-        assignment = Assignment(subs, high)
-        value = evaluate(levels[k - 1], assignment)
-        if value.dim * (2 ** k) != high:
-            raise RuntimeError(f"chained witness level {k} has dim {value.dim}, "
-                               f"expected {high // 2 ** k}")
+        block = units[high - high // 2 ** (k - 1):]
+        subs[f"p{k}"], subs[f"q{k}"], subs[f"r{k}"] = _half_split_triple(block, high)
+    assignment = Assignment(subs, high)
+    value, nodes = evaluate_with_cache(levels[-1], assignment)
+    for k, lvl in enumerate(levels, start=1):
+        if nodes[id(lvl)] != subs[f"q{k}"]:
+            raise RuntimeError(f"witness level {k} is not q{k}, the span of the "
+                               f"last {high // 2 ** k} coordinates")
     fails = Verdict(COUNTEREXAMPLE, separator, high, 1, seed, assignment,
                     (value, Subspace.zero(high)))
     return SeparationCertificate(low, high, separator, holds, fails)
@@ -258,9 +256,8 @@ def huhn_witness(m: int, n: int) -> Assignment:
     """
     if not 1 <= m < n:
         raise ValueError("need 1 <= m < n")
-    subs = {f"y{i}": span([[GR_ONE if j == i else GR_ZERO for j in range(n)]], n)
-            for i in range(m + 1)}
-    subs["x"] = span([[GR_ONE if j <= m else GR_ZERO for j in range(n)]], n)
+    subs = {f"y{i}": span([[int(j == i) for j in range(n)]], n) for i in range(m + 1)}
+    subs["x"] = span([[int(j <= m) for j in range(n)]], n)
     return Assignment(subs, n)
 
 

@@ -30,6 +30,7 @@ from .linalg import (
     _rational_matrix,
     entry_from_json,
     entry_to_json,
+    int_from_json,
     rank_mod_p,
 )
 
@@ -241,6 +242,6 @@ def subspace_to_json(p: Subspace) -> dict:
 def subspace_from_json(obj) -> Subspace:
     if not isinstance(obj, dict) or "ambient" not in obj or "basis" not in obj:
         raise ValueError("subspace JSON must have 'ambient' and 'basis' keys")
-    ambient = int(obj["ambient"])
+    ambient = int_from_json(obj["ambient"], "ambient")
     rows = [[entry_from_json(e) for e in row] for row in obj["basis"]]
     return span(rows, ambient)

@@ -387,14 +387,6 @@ def include(x: TLElement) -> TLElement:
     return TLElement._make(n + 1, out, x.den)
 
 
-def include_upto(j: int, n: int) -> TLElement:
-    """The level-j projector included into n strands."""
-    p = jones_wenzl(j)
-    while p.n < n:
-        p = include(p)
-    return p
-
-
 @dataclass(frozen=True)
 class ChebyshevPoly:
     """The degree-n member of the recursion D0 = 1, D1 = x, D_{n+1} = x D_n - D_{n-1}."""

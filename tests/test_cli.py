@@ -68,6 +68,23 @@ class TestEval:
         assert code == 2
         assert out == "" and err.count("\n") == 1 and "denominator" in err
 
+    @pytest.mark.parametrize("subspace", [
+        {"ambient": 2, "basis": [[[0.5, 1, 0, 1], ["0", "1", "0", "1"]]]},
+        {"ambient": 2, "basis": [[[True, 1, 0, 1], ["0", "1", "0", "1"]]]},
+        {"ambient": 2.9, "basis": []},
+    ], ids=["float-part", "boolean-part", "float-ambient"])
+    def test_non_integer_wire_value_exit_2(self, tmp_path, subspace):
+        # int() would truncate these to a wrong subspace and exit 0
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"p": subspace}))
+        proc = subprocess.run([sys.executable, "-m", "qlat.cli", "eval", "p", str(path)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.count("\n") == 1
+        assert "must be an integer or a decimal string" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_deeply_nested_file_exit_2(self, tmp_path):
         path = tmp_path / "deep.json"
         path.write_text("[" * 100000)

@@ -89,6 +89,17 @@ class TestGaussianRational:
         assert entry_to_json(z) == ["-3", "7", "2", "5"]
         assert entry_from_json(entry_to_json(z)) == z
 
+    @pytest.mark.parametrize("item", [[0.5, 1, 0, 1], [True, 1, 0, 1], [1, 1, 0, 1.0],
+                                      ["1.5", "1", "0", "1"], [" 1", "1", "0", "1"],
+                                      [None, 1, 0, 1]])
+    def test_only_integers_and_decimal_strings(self, item):
+        with pytest.raises(ValueError, match="matrix entry part"):
+            entry_from_json(item)
+
+    def test_json_integers_and_signed_strings_accepted(self):
+        assert entry_from_json([-3, "7", "+2", 5]) == GaussianRational(Fraction(-3, 7),
+                                                                      Fraction(2, 5))
+
     def test_zero_denominator_rejected(self):
         with pytest.raises(ValueError):
             entry_from_json(["1", "0", "0", "1"])

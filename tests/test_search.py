@@ -9,8 +9,10 @@ from qlat.formula import (
     Assignment,
     ONE,
     alpha,
+    alpha_levels,
     evaluate,
     evaluate_equation,
+    evaluate_with_cache,
     law,
     m_distributive,
     parse_equation,
@@ -32,7 +34,29 @@ from qlat.search import (
     verdict_from_json,
     verdict_to_json,
 )
+from qlat.linalg import GR_ONE, GR_ZERO
 from qlat.subspace import Subspace, span
+
+
+def _chained_witness(n):
+    """Oracle for the qubit route's witness: the evaluate-to-build chain, in
+    which triple k splits the rational basis of level k-1's evaluated value."""
+    high = 2 ** (n + 1)
+    rows = [[GR_ONE if j == i else GR_ZERO for j in range(high)] for i in range(high)]
+    subs = {}
+    for k, level in enumerate(alpha_levels(n + 1), start=1):
+        h = len(rows) // 2
+        subs[f"p{k}"] = span(rows[:h], high)
+        subs[f"q{k}"] = span(rows[h:], high)
+        subs[f"r{k}"] = span([[a + b for a, b in zip(rows[i], rows[h + i])]
+                              for i in range(h)], high)
+        value = evaluate(level, Assignment(subs, high))
+        rows = [list(r) for r in value.basis.entries]
+    return Assignment(subs, high), value
+
+
+def _last_coordinates(count, high):
+    return span([[int(j == i) for j in range(high)] for i in range(high - count, high)], high)
 
 
 class TestFalsify:
@@ -166,8 +190,9 @@ class TestQubitSeparator:
             qubit_alpha_separator(1, trials=3, entry_bound=0)
 
     def test_audit_reads_node_cache(self, monkeypatch):
-        # two evaluations per trial (one per side) and three for the chained
-        # witness; auditing by evaluating again made it 3 per trial, 33 here
+        # two evaluations per trial (one per side) and one for the witness,
+        # whose cache holds every level; auditing by evaluating again made it
+        # 3 per trial, and building each level from the one before added 3
         import qlat.formula
         import qlat.search
 
@@ -182,7 +207,45 @@ class TestQubitSeparator:
             if getattr(mod, "evaluate_with_cache", None) is plain:
                 monkeypatch.setattr(mod, "evaluate_with_cache", counted)
         qubit_alpha_separator(2, trials=10)
-        assert len(calls) == 23
+        assert len(calls) == 21
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_closed_form_matches_chained_oracle(self, n):
+        cert = qubit_alpha_separator(n, trials=4, seed=2, size_cap=32)
+        witness, value = _chained_witness(n)
+        high = cert.high_dim
+        fails = Verdict(COUNTEREXAMPLE, cert.separator, high, 1, 2, witness,
+                        (value, Subspace.zero(high)))
+        oracle = SeparationCertificate(cert.low_dim, high, cert.separator,
+                                       cert.holds_evidence, fails)
+        assert certificate_to_json(cert) == certificate_to_json(oracle)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_every_level_evaluates_to_its_q(self, n):
+        cert = qubit_alpha_separator(n, trials=1, size_cap=32)
+        witness, high = cert.fails_witness.witness, cert.high_dim
+        levels = alpha_levels(n + 1)
+        _, nodes = evaluate_with_cache(levels[-1], witness)
+        for k, level in enumerate(levels, start=1):
+            q = _last_coordinates(high // 2 ** k, high)
+            assert witness[f"q{k}"] == q
+            assert nodes[id(level)] == q, k
+        assert cert.fails_witness.witness_gap == (nodes[id(levels[-1])], Subspace.zero(high))
+
+    def test_witness_levels_are_checked(self, monkeypatch):
+        # swapping p and q moves level 1's value off the block that triple 2
+        # splits, so level 2 evaluates to 0 instead of q2
+        import qlat.search
+
+        plain = qlat.search._half_split_triple
+
+        def swapped(rows, ambient):
+            p, q, r = plain(rows, ambient)
+            return q, p, r
+
+        monkeypatch.setattr(qlat.search, "_half_split_triple", swapped)
+        with pytest.raises(RuntimeError, match="level 2 is not q2"):
+            qubit_alpha_separator(1, trials=1)
 
     def test_nodes_hook_and_three_argument_hook(self):
         eq = law("distributivity")

@@ -240,6 +240,14 @@ class TestJson:
         with pytest.raises(ValueError):
             subspace_from_json({"ambient": 2, "basis": [[["1", "1", "0"]]]})
 
+    @pytest.mark.parametrize("ambient", [2.9, 2.0, True, "2.0", None])
+    def test_ambient_must_be_an_integer(self, ambient):
+        with pytest.raises(ValueError, match="ambient"):
+            subspace_from_json({"ambient": ambient, "basis": []})
+
+    def test_ambient_decimal_string_accepted(self):
+        assert subspace_from_json({"ambient": "2", "basis": []}) == Subspace.zero(2)
+
 
 def _oracle_ortho(m):
     return kernel(conj_entries(m))

@@ -394,6 +394,15 @@ class TestMarkovTrace:
                 x = TLElement.from_diagram(rng.choice(basis))
                 assert markov_trace(include(x)) == markov_trace(x)
 
+    def test_projector_trace_invariant_under_inclusion(self):
+        # why `tl trace` can trace p_j on j strands instead of padding it to n
+        for j in range(1, 6):
+            p = jones_wenzl(j)
+            tr = markov_trace(p)
+            for _ in range(j + 1, 7):
+                p = include(p)
+                assert markov_trace(p) == tr, (j, p.n)
+
 
 class TestRoots:
     def test_values(self):
