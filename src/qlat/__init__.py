@@ -85,6 +85,5 @@ from .templieb import (
     jw_at_root,
     markov_trace,
     root_params,
-    tl_mul,
     tl_to_json,
 )

@@ -4,6 +4,8 @@ Every command is scriptable and deterministic: JSON output is byte-identical
 for identical configuration (stable key order, seeds always recorded), and
 the human-readable mode renders the same data. Each subcommand declares only
 the flags it reads (``build_parser``), so any other flag is a usage error.
+Every input bound lives here; ``check_size_cap`` is the one dimension check,
+and the library routes the commands call are uncapped.
 Exit codes: 0 for success or no counterexample, 1 for a found counterexample
 or a violated structural bound, 2 for usage and parse errors.
 """
@@ -30,8 +32,6 @@ from .formula import (
 )
 from .search import (
     COUNTEREXAMPLE,
-    DEFAULT_ENTRY_BOUND,
-    DEFAULT_SIZE_CAP,
     DEFAULT_TRIALS,
     audit_invariants,
     certificate_to_json,
@@ -40,7 +40,7 @@ from .search import (
     separate_dims,
     verdict_to_json,
 )
-from .subspace import subspace_to_json
+from .subspace import DEFAULT_ENTRY_BOUND, subspace_to_json
 from .ratfunc import RF_D
 from .templieb import (
     PoleError,
@@ -59,11 +59,13 @@ EXIT_OK = 0
 EXIT_FOUND = 1
 EXIT_USAGE = 2
 
-MAX_ALPHA_PRINT = 5  # printed source grows ~21x per level (m=5 is ~18 MB)
+DEFAULT_SIZE_CAP = 16
 # Above 32, certificates stop replaying from their JSON: the text of
 # m_distributive(64) nests past formula.MAX_PARSE_DEPTH. At 32, `separate 16 32`
 # already prints an ~18 MB separator, as large as `alpha 5`.
 MAX_SIZE_CAP = 32
+MAX_ALPHA_PRINT = MAX_SIZE_CAP.bit_length() - 1  # level m separates at C^(2^m)
+MAX_TL_STRANDS = 8
 
 
 class UsageError(Exception):
@@ -79,6 +81,13 @@ def size_cap() -> int:
     if not 1 <= cap <= MAX_SIZE_CAP:
         raise UsageError(f"QLAT_SIZE_CAP must be in 1..{MAX_SIZE_CAP}, got {cap}")
     return cap
+
+
+def check_size_cap(dim: int) -> None:
+    """The one bound on the dimensions a command may reason about."""
+    cap = size_cap()
+    if dim > cap:
+        raise UsageError(f"dimension {dim} exceeds the size cap {cap}")
 
 
 def emit(report: dict, args) -> None:
@@ -127,10 +136,7 @@ def cmd_eval(args) -> int:
     except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise UsageError(f"cannot read assignment file: {exc}")
     assignment = assignment_from_json(raw, args.dim)
-    cap = size_cap()
-    if assignment.ambient > cap:
-        raise UsageError(f"ambient dimension {assignment.ambient} exceeds the "
-                         f"size cap {cap}")
+    check_size_cap(assignment.ambient)
     value = evaluate(formula, assignment)
     report = _stamp({
         "formula": to_source(formula),
@@ -148,9 +154,7 @@ def cmd_check(args, resolve) -> int:
     dim = args.dim
     if dim is None:
         raise UsageError("--dim is required")
-    cap = size_cap()
-    if not 1 <= dim <= cap:
-        raise UsageError(f"--dim must be in 1..{cap}")
+    check_size_cap(dim)
     verdict = falsify(eq, dim, args.trials, args.seed, entry_bound=args.entry_bound)
     report = _stamp(verdict_to_json(verdict), args)
     emit(report, args)
@@ -159,16 +163,15 @@ def cmd_check(args, resolve) -> int:
 
 def cmd_separate(args) -> int:
     m, n = args.m, args.n
-    cap = size_cap()
     if not 1 <= m < n:
         raise UsageError("need 1 <= m < n")
+    check_size_cap(n)
     if n == 2 * m and m & (m - 1) == 0:
         cert = qubit_alpha_separator(m.bit_length() - 1, trials=args.trials,
-                                     seed=args.seed, entry_bound=args.entry_bound,
-                                     size_cap=cap)
+                                     seed=args.seed, entry_bound=args.entry_bound)
     else:
         cert = separate_dims(m, n, seed=args.seed, holds_trials=args.trials,
-                             entry_bound=args.entry_bound, size_cap=cap)
+                             entry_bound=args.entry_bound)
     report = _stamp(certificate_to_json(cert), args)
     emit(report, args)
     return EXIT_OK
@@ -183,9 +186,7 @@ def cmd_alpha(args) -> int:
 
 
 def cmd_mdist(args) -> int:
-    cap = size_cap()
-    if args.m > cap:
-        raise UsageError(f"m = {args.m} exceeds the size cap {cap}")
+    check_size_cap(args.m)
     print(to_source(m_distributive(args.m)))
     return EXIT_OK
 
@@ -202,8 +203,8 @@ def _tl_relations(args) -> int:
     n = args.n
     if args.r is not None:
         raise UsageError("--r applies only to tl jw and tl trace")
-    if not 2 <= n <= 8:
-        raise UsageError("--n must be in 2..8 for relation checks")
+    if not 2 <= n <= MAX_TL_STRANDS:
+        raise UsageError(f"--n must be in 2..{MAX_TL_STRANDS} for relation checks")
     checks = []
     ok_all = True
     es = {i: generator_e(n, i) for i in range(1, n)}
@@ -231,8 +232,8 @@ def _tl_jw(args) -> int:
     n, r = args.n, args.r
     if n < 1:
         raise UsageError("--n must be at least 1")
-    if n > 8:
-        raise UsageError("--n above 8 is too large for the exact projector")
+    if n > MAX_TL_STRANDS:
+        raise UsageError(f"--n above {MAX_TL_STRANDS} is too large for the exact projector")
     if r is not None:
         error = projector_level_error(n, r)
         if error:
@@ -263,8 +264,8 @@ def _tl_jw(args) -> int:
 
 def _tl_trace(args) -> int:
     n, r = args.n, args.r
-    if not 2 <= n <= 8:
-        raise UsageError("--n must be in 2..8")
+    if not 2 <= n <= MAX_TL_STRANDS:
+        raise UsageError(f"--n must be in 2..{MAX_TL_STRANDS}")
     d = None if r is None else root_params(r)
     tr_e = markov_trace(generator_e(n, 1))
     rows = [{"element": "e_i", "trace": repr(tr_e)}]

@@ -37,14 +37,14 @@ from .formula import (
     parse,
     to_source,
 )
-from .subspace import Subspace, random_subspace_rng, span, subspace_from_json, subspace_to_json
+from .linalg import int_from_json
+from .subspace import (DEFAULT_ENTRY_BOUND, Subspace, random_subspace_rng, span,
+                       subspace_from_json, subspace_to_json)
 
 COUNTEREXAMPLE = "counterexample_found"
 NO_COUNTEREXAMPLE = "no_counterexample"
 
 DEFAULT_TRIALS = 1000
-DEFAULT_ENTRY_BOUND = 3
-DEFAULT_SIZE_CAP = 16
 
 
 class InconclusiveSearchError(RuntimeError):
@@ -196,24 +196,21 @@ def structured_alpha_witness(ambient_dim: int) -> Assignment:
     return a
 
 
-def qubit_alpha_separator(n: int, trials: int = 200, seed: int = 0,
-                          entry_bound: int = DEFAULT_ENTRY_BOUND,
-                          size_cap: int = DEFAULT_SIZE_CAP) -> SeparationCertificate:
+def qubit_alpha_separator(n: int, trials: int = DEFAULT_TRIALS, seed: int = 0,
+                          entry_bound: int = DEFAULT_ENTRY_BOUND) -> SeparationCertificate:
     """Separate the logics of C^(2^n) and C^(2^(n+1)) by the iterated test
     formula: level n+1 vanishes identically at the low dimension and a
     closed-form witness gives it dimension exactly 1 at the high one.
 
-    Every sampled evaluation is audited against the per-level dimension bound
-    dim(level k) <= low / 2^k. Triple k halves the last high/2^(k-1)
-    coordinates into p_k, q_k and their diagonal r_k; within their span
-    q_k & r_k = 0 and p_k | r_k is everything, so level k is q_k. One
-    evaluation of level n+1 yields, and checks, every level.
+    Each of the ``trials`` sampled evaluations (default ``DEFAULT_TRIALS``) is
+    audited against the per-level bound dim(level k) <= low / 2^k. Triple k
+    halves the last high/2^(k-1) coordinates into p_k, q_k and their diagonal
+    r_k; within their span q_k & r_k = 0 and p_k | r_k is everything, so
+    level k is q_k. One evaluation of level n+1 yields, and checks, every level.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     low, high = 2 ** n, 2 ** (n + 1)
-    if high > size_cap:
-        raise ValueError(f"dimension {high} exceeds the size cap {size_cap}")
     levels = alpha_levels(n + 1)
     separator = Equation(levels[-1], ZERO, "=")
 
@@ -261,18 +258,15 @@ def huhn_witness(m: int, n: int) -> Assignment:
     return Assignment(subs, n)
 
 
-def separate_dims(m: int, n: int, seed: int = 0, holds_trials: int = 500,
+def separate_dims(m: int, n: int, seed: int = 0, holds_trials: int = DEFAULT_TRIALS,
                   budgets: Optional[Sequence[int]] = None,
-                  entry_bound: int = DEFAULT_ENTRY_BOUND,
-                  size_cap: int = DEFAULT_SIZE_CAP) -> SeparationCertificate:
+                  entry_bound: int = DEFAULT_ENTRY_BOUND) -> SeparationCertificate:
     """Separate C^m from C^n (m < n) with the m-distributive law.
 
-    Evidence at dimension m comes from seeded sampling; the counterexample at
-    dimension n is ``huhn_witness(m, n)``, evaluated once. ``budgets`` is
-    accepted for compatibility and ignored: there is no search to budget.
+    Evidence at dimension m comes from ``holds_trials`` seeded samples (default
+    ``DEFAULT_TRIALS``); the counterexample at dimension n, ``huhn_witness(m, n)``,
+    is evaluated once. ``budgets`` is kept for compatibility and ignored.
     """
-    if n > size_cap:
-        raise ValueError(f"dimension {n} exceeds the size cap {size_cap}")
     witness = huhn_witness(m, n)
     separator = m_distributive(m)
     holds = falsify(separator, m, holds_trials, seed, entry_bound=entry_bound)
@@ -386,14 +380,19 @@ def verdict_to_json(v: Verdict) -> dict:
 
 
 def verdict_from_json(obj: dict) -> Verdict:
-    eq = _coerce_equation(parse(obj["equation"]))
-    witness = None
-    gap = None
-    if obj.get("witness") is not None:
-        witness = assignment_from_json(obj["witness"], int(obj["ambient"]))
-        gap = (subspace_from_json(obj["gap"]["lhs"]), subspace_from_json(obj["gap"]["rhs"]))
-    return Verdict(obj["status"], eq, int(obj["ambient"]), int(obj["trials"]),
-                   int(obj["seed"]), witness, gap)
+    try:
+        text = obj["equation"]
+        if not isinstance(text, str):
+            raise ValueError(f"verdict equation must be a string, got {text!r}")
+        ambient, trials, seed = (int_from_json(obj[k], k) for k in ("ambient", "trials", "seed"))
+        witness = gap = None
+        if obj.get("witness") is not None:
+            witness = assignment_from_json(obj["witness"], ambient)
+            gap = (subspace_from_json(obj["gap"]["lhs"]), subspace_from_json(obj["gap"]["rhs"]))
+        return Verdict(obj["status"], _coerce_equation(parse(text)), ambient, trials, seed,
+                       witness, gap)
+    except KeyError as exc:
+        raise ValueError(f"verdict JSON is missing the key {exc}") from None
 
 
 def certificate_to_json(c: SeparationCertificate) -> dict:

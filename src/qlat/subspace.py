@@ -35,6 +35,7 @@ from .linalg import (
 )
 
 REDRAW_CAP = 1000
+DEFAULT_ENTRY_BOUND = 3
 
 
 class Subspace:
@@ -207,7 +208,7 @@ def span(vectors, ambient: int) -> Subspace:
 
 
 def random_subspace_rng(rng: random.Random, ambient: int, dim: int,
-                        entry_bound: int = 3) -> Subspace:
+                        entry_bound: int = DEFAULT_ENTRY_BOUND) -> Subspace:
     """Draw a subspace of exact dimension ``dim`` using the caller's RNG.
 
     Entries are Gaussian integers with |re|, |im| <= entry_bound;
@@ -228,7 +229,8 @@ def random_subspace_rng(rng: random.Random, ambient: int, dim: int,
         f"failed to draw a dimension-{dim} subspace of C^{ambient} in {REDRAW_CAP} attempts")
 
 
-def random_subspace(ambient: int, dim: int, seed: int, entry_bound: int = 3) -> Subspace:
+def random_subspace(ambient: int, dim: int, seed: int,
+                    entry_bound: int = DEFAULT_ENTRY_BOUND) -> Subspace:
     """Deterministic seeded wrapper around :func:`random_subspace_rng`."""
     return random_subspace_rng(random.Random(seed), ambient, dim, entry_bound)
 

@@ -373,10 +373,6 @@ def generator_e(n: int, i: int) -> TLElement:
     return TLElement(n, {PlanarDiagram.cup_cap(n, i): RF_ONE / RF_D})
 
 
-def tl_mul(x: TLElement, y: TLElement) -> TLElement:
-    return x * y
-
-
 def include(x: TLElement) -> TLElement:
     """The inclusion into one more strand: append a through-strand on the right."""
     n = x.n

@@ -169,6 +169,29 @@ class TestCheckLaw:
         assert err == f"error: QLAT_SIZE_CAP must be in 1..32, got {cap}\n"
 
 
+# each capped command at QLAT_SIZE_CAP=4 and one past it; the qubit route's
+# next dimension past 4 is 8
+@pytest.mark.parametrize("at_cap,over,dim", [
+    ("eval ~p AMBIENT4", "eval ~p AMBIENT5", 5),
+    ("check-law modularity --dim 4 --trials 2", "check-law modularity --dim 5 --trials 2", 5),
+    ("falsify x|~x --dim 4 --trials 2", "falsify x|~x --dim 5 --trials 2", 5),
+    ("separate 3 4 --trials 2", "separate 3 5 --trials 2", 5),
+    ("separate 2 4 --trials 2", "separate 4 8 --trials 2", 8),
+    ("mdist 4", "mdist 5", 5),
+], ids=["eval", "check-law", "falsify", "separate-huhn", "separate-qubit", "mdist"])
+def test_every_capped_command(capsys, monkeypatch, tmp_path, at_cap, over, dim):
+    files = {}
+    for n in (4, 5):
+        path = tmp_path / f"ambient{n}.json"
+        path.write_text(json.dumps({"p": {"ambient": n, "basis": []}}))
+        files[f"AMBIENT{n}"] = str(path)
+    monkeypatch.setenv("QLAT_SIZE_CAP", "4")
+    assert run(capsys, *(files.get(w, w) for w in at_cap.split()))[0] == 0
+    code, out, err = run(capsys, *(files.get(w, w) for w in over.split()))
+    assert code == 2 and out == ""
+    assert err == f"error: dimension {dim} exceeds the size cap 4\n"
+
+
 # sha256 of stdout; any change to the canonical form or to the search order
 # changes them. The `separate 2 3` digest covers the built Huhn witness; its
 # sampled half is also pinned on its own by test_golden_holds_evidence.

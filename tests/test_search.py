@@ -169,10 +169,6 @@ class TestQubitSeparator:
         holds, lv, _ = evaluate_equation(cert.separator, cert.fails_witness.witness)
         assert not holds and lv.dim == 1
 
-    def test_size_cap(self):
-        with pytest.raises(ValueError):
-            qubit_alpha_separator(4, trials=10, seed=0, size_cap=16)
-
     def test_entry_bound_reaches_sampling(self, monkeypatch):
         import qlat.search
 
@@ -211,7 +207,7 @@ class TestQubitSeparator:
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3])
     def test_closed_form_matches_chained_oracle(self, n):
-        cert = qubit_alpha_separator(n, trials=4, seed=2, size_cap=32)
+        cert = qubit_alpha_separator(n, trials=4, seed=2)
         witness, value = _chained_witness(n)
         high = cert.high_dim
         fails = Verdict(COUNTEREXAMPLE, cert.separator, high, 1, 2, witness,
@@ -222,7 +218,7 @@ class TestQubitSeparator:
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3])
     def test_every_level_evaluates_to_its_q(self, n):
-        cert = qubit_alpha_separator(n, trials=1, size_cap=32)
+        cert = qubit_alpha_separator(n, trials=1)
         witness, high = cert.fails_witness.witness, cert.high_dim
         levels = alpha_levels(n + 1)
         _, nodes = evaluate_with_cache(levels[-1], witness)
@@ -376,6 +372,28 @@ class TestVerdictJson:
         blob = verdict_to_json(v)
         assert blob["witness"] is None and blob["gap"] is None
         assert verdict_from_json(blob) == v
+
+    @pytest.mark.parametrize("key,value", [("trials", 9.7), ("seed", True), ("ambient", 2.0)])
+    def test_non_integer_field_rejected(self, key, value):
+        v = falsify(law("distributivity"), 2, 100, seed=5)
+        blob = json.loads(json.dumps(verdict_to_json(v)))
+        assert verdict_from_json(blob) == v
+        blob[key] = value
+        with pytest.raises(ValueError, match=f"{key} must be an integer"):
+            verdict_from_json(blob)
+
+    @pytest.mark.parametrize("key", ["status", "equation", "ambient", "trials", "seed", "gap"])
+    def test_missing_key_rejected(self, key):
+        blob = verdict_to_json(falsify(law("distributivity"), 2, 100, seed=5))
+        del blob[key]
+        with pytest.raises(ValueError, match=f"missing the key '{key}'"):
+            verdict_from_json(blob)
+
+    def test_non_string_equation_rejected(self):
+        blob = verdict_to_json(falsify(law("modularity"), 2, 5, seed=5))
+        blob["equation"] = 7
+        with pytest.raises(ValueError, match="equation must be a string"):
+            verdict_from_json(blob)
 
     def test_certificate_json_shape(self):
         cert = separate_dims(1, 2, seed=0, holds_trials=50)
