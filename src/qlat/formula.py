@@ -455,7 +455,12 @@ def evaluate_with_cache(f: Formula, assignment) -> tuple[Subspace, dict[int, Sub
         cache[id(n)] = v
         return v
 
-    return go(f), cache
+    # go refers to itself through its closure cell; emptying the cell breaks
+    # that cycle, so the cache and its values die by refcount.
+    try:
+        return go(f), cache
+    finally:
+        del go
 
 
 def evaluate(f: Formula, assignment) -> Subspace:

@@ -361,10 +361,13 @@ def _canonical(rows: list[list[tuple[int, int]]], ncols: int):
     piv, (p_re, p_im) = _ff_gauss_jordan(rows, ncols)
     num = [[(a * p_re + b * p_im, b * p_re - a * p_im) for a, b in row]
            for row in rows[:len(piv)]]
-    den = p_re * p_re + p_im * p_im
+    return (*_lowest_terms(num, p_re * p_re + p_im * p_im), tuple(piv))
+
+
+def _lowest_terms(num, den: int):
+    """``(num, den)`` as tuples over the smallest positive common denominator."""
     g = gcd(den, *(x for row in num for z in row for x in z))
-    return (tuple(tuple((a // g, b // g) for a, b in row) for row in num),
-            den // g, tuple(piv))
+    return tuple(tuple((a // g, b // g) for a, b in row) for row in num), den // g
 
 
 MOD_P = 2147483629  # prime, and 1 (mod 4), so -1 is a square mod MOD_P

@@ -1,10 +1,21 @@
 """The lattice of subspaces of C^n.
 
-A subspace is held as its canonical RREF: Gaussian-integer numerator rows over
-the smallest positive common denominator, plus pivot columns, so equality is
-syntactic. Join eliminates the stacked integer rows once, ortho reads the
-kernel off the RREF, meet is the De Morgan dual ~(~a | ~b) over orthocomplements
-cached in both directions, and leq reduces rows without any elimination.
+A subspace is held as a canonical reduced echelon form: Gaussian-integer
+numerator rows over the smallest positive common denominator, plus pivot
+columns. The form has one of two orientations. A forward form is the RREF, with
+each row's pivot at its first nonzero column; a reverse form is the RREF taken
+with the columns in reverse order, with each row's pivot at its last nonzero
+column. Either way rows are in ascending pivot order, so each orientation is
+unique per subspace and equality within one orientation is syntactic.
+
+The kernel rows that ``linalg._null_rows`` reads off one orientation are, after
+one gcd, the orthocomplement's form in the other orientation (matroid duality,
+see the README design notes), so ortho makes no elimination. Join eliminates
+the stacked rows once, forward. Meet is the De Morgan dual ~(~a | ~b): it
+eliminates the rows of the two free orthocomplements once, in reverse column
+order, and the ortho of that reverse form is the forward meet. leq reduces rows
+against either orientation without any elimination. basis, JSON, == and hash
+read the forward form, which a reverse value derives with one elimination.
 
 Before eliminating, join and meet try a certificate: the rank of the stacked
 rows modulo one prime (``linalg.rank_mod_p``), a lower bound on their exact
@@ -12,7 +23,8 @@ rank. Mod-p rank n proves a join is the full space; mod-p rank dim a + dim b
 proves the rows independent, so dim(a & b) = dim a + dim b - dim(a | b) = 0.
 Any other outcome falls through to the exact path, so a certificate is never
 wrong, only sometimes unused. The full space and the zero are one shared pair
-of values per ambient, each the other's ortho.
+of values per ambient, each the other's ortho; any other value caches its ortho
+without a link back, so values hold no reference cycle.
 All operations are exact and pure; values are immutable and freely shareable.
 """
 
@@ -26,6 +38,7 @@ from .linalg import (
     RationalMatrix,
     _canonical,
     _int_rows,
+    _lowest_terms,
     _null_rows,
     _rational_matrix,
     entry_from_json,
@@ -39,16 +52,21 @@ DEFAULT_ENTRY_BOUND = 3
 
 
 class Subspace:
-    """A subspace of C^n held as its canonical RREF ``rows / den``, rows of
-    ``(re, im)`` integer pairs, with pivot columns ``piv``."""
+    """A subspace of C^n held as its canonical echelon form ``rows / den``,
+    rows of ``(re, im)`` integer pairs, with pivot columns ``piv``: forward
+    (the RREF) or, if ``rev``, reverse. Each row has ``den`` on its own pivot
+    and 0 on every other pivot."""
 
-    __slots__ = ("ambient", "rows", "den", "piv", "_ortho")
+    __slots__ = ("ambient", "rows", "den", "piv", "rev", "_ortho")
 
-    def __init__(self, ambient: int, rows=(), den: int = 1, piv=()):
-        # Internal: (rows, den, piv) must be canonical, as from _canonical.
+    def __init__(self, ambient: int, rows=(), den: int = 1, piv=(), rev: bool = False):
+        # Internal: (rows, den, piv) must be canonical in the orientation rev,
+        # as from _canonical for forward. 0 and the whole space read the same
+        # in both orientations, so they are always marked forward.
         if ambient < 1:
             raise ValueError("ambient dimension must be at least 1")
         self.ambient, self.rows, self.den, self.piv = ambient, rows, den, piv
+        self.rev = rev and 0 < len(rows) < ambient
         self._ortho = None
 
     @classmethod
@@ -65,7 +83,15 @@ class Subspace:
     @property
     def basis(self) -> RationalMatrix:
         """The canonical RREF basis as exact rationals, built on demand."""
-        return _rational_matrix(self.rows, self.den, self.ambient)
+        f = self._forward()
+        return _rational_matrix(f.rows, f.den, self.ambient)
+
+    def _forward(self) -> "Subspace":
+        """This subspace in forward orientation: itself, or for a reverse
+        value one elimination, not cached."""
+        if not self.rev:
+            return self
+        return Subspace(self.ambient, *_canonical([list(r) for r in self.rows], self.ambient))
 
     @property
     def dim(self) -> int:
@@ -92,10 +118,15 @@ class Subspace:
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented
+        if self.rev != other.rev:
+            if self.ambient != other.ambient or self.dim != other.dim:
+                return False
+            self, other = self._forward(), other._forward()
         return (self.ambient, self.den, self.rows) == (other.ambient, other.den, other.rows)
 
     def __hash__(self):
-        return hash((self.ambient, self.den, self.rows))
+        f = self._forward()
+        return hash((f.ambient, f.den, f.rows))
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of C^{self.ambient}, basis {self.basis!r})"
@@ -107,10 +138,12 @@ class Subspace:
 
     def leq(self, other: "Subspace") -> bool:
         """Containment self <= other: each row of self reduces to zero against
-        other's RREF. Pivots are the leading columns, so self's are among other's."""
+        other's echelon form, in either orientation. Within one orientation,
+        pivots are the leading (or trailing) columns, so self's are among
+        other's."""
         self._check_ambient(other)
         opiv = set(other.piv)
-        if not opiv.issuperset(self.piv):
+        if self.rev == other.rev and not opiv.issuperset(self.piv):
             return False
         free = [c for c in range(self.ambient) if c not in opiv]
         for row in self.rows:
@@ -126,16 +159,23 @@ class Subspace:
 
     def meet(self, other: "Subspace") -> "Subspace":
         """Set intersection, as the De Morgan dual ~(~self | ~other), unless
-        the stacked rows are independent mod p, which makes the meet 0."""
+        the stacked rows are independent mod p, which makes the meet 0. The
+        rows of ~self and ~other are eliminated once, in reverse column order,
+        so the ortho of that join is forward and free. The join's full-rank
+        certificate is not tried: ~self | ~other is full exactly when the
+        meet is 0, and can be only when k <= n, where the test above ran."""
         self._check_ambient(other)
         if self.is_zero() or other.is_full():
             return self
         if other.is_zero() or self.is_full():
             return other
-        k = self.dim + other.dim
-        if k <= self.ambient and rank_mod_p(self.rows + other.rows, self.ambient) == k:
-            return Subspace.zero(self.ambient)
-        return self.ortho().join(other.ortho()).ortho()
+        n, k = self.ambient, self.dim + other.dim
+        if k <= n and rank_mod_p(self.rows + other.rows, n) == k:
+            return Subspace.zero(n)
+        rows = self.ortho().rows + other.ortho().rows
+        num, den, piv = _canonical([list(r[::-1]) for r in rows], n)
+        return Subspace(n, tuple(r[::-1] for r in reversed(num)), den,
+                        tuple(n - 1 - c for c in reversed(piv)), True).ortho()
 
     def join(self, other: "Subspace") -> "Subspace":
         """Span of the union (closure of the span; closed automatically here)."""
@@ -152,13 +192,14 @@ class Subspace:
 
     def ortho(self) -> "Subspace":
         """Orthogonal complement: all v with <b, v> = sum conj(b_i) v_i = 0,
-        the kernel of the entrywise conjugated RREF."""
+        the kernel of the entrywise conjugated echelon form. Its kernel rows
+        over ``den``, in lowest terms, are the complement's form in the other
+        orientation, so no elimination is made. Cached on self only."""
         if self._ortho is None:
-            n = self.ambient
+            n, piv = self.ambient, self.piv
             conj = [[(a, -b) for a, b in row] for row in self.rows]
-            o = Subspace(n, *_canonical(_null_rows(conj, self.den, self.piv, n), n))
-            o._ortho = self
-            self._ortho = o
+            self._ortho = Subspace(n, *_lowest_terms(_null_rows(conj, self.den, piv, n), self.den),
+                                   tuple(c for c in range(n) if c not in piv), not self.rev)
         return self._ortho
 
     __and__ = meet
@@ -189,7 +230,8 @@ class Subspace:
 @lru_cache(maxsize=None)
 def _full_space(ambient: int) -> Subspace:
     """The shared full space of C^ambient, linked both ways to the shared zero
-    as its ortho, so neither orthocomplement is ever eliminated."""
+    as its ortho: the one pair of values that link back, kept alive by this
+    cache anyway."""
     rows = tuple(tuple((int(i == j), 0) for j in range(ambient)) for i in range(ambient))
     full = Subspace(ambient, rows, 1, tuple(range(ambient)))
     full._ortho = Subspace(ambient)

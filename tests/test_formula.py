@@ -1,5 +1,6 @@
 """Formula language: parser, printer, NNF, evaluation, restriction, generators."""
 
+import gc
 import random
 
 import pytest
@@ -39,7 +40,7 @@ from qlat.formula import (
     to_nnf,
     to_source,
 )
-from qlat.subspace import Subspace, span
+from qlat.subspace import Subspace, random_subspace, span
 
 P = span([[1, 0]], 2)
 Q = span([[0, 1]], 2)
@@ -204,6 +205,28 @@ class TestEvaluate:
         assert holds
         holds, lv, rv = evaluate_equation(parse_equation("p = q"), TRIPLE)
         assert not holds and lv == P and rv == Q
+
+
+def test_lattice_values_leave_no_cyclic_garbage():
+    # Evaluation caches, assignments and lattice values die by refcount: with
+    # the collector off, nothing is left for a collection to free.
+    eqs = [(eq, sorted(free_vars(eq))) for eq in (law("modularity"), law("orthomodularity"))]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        for seed in range(3):
+            rng = random.Random(seed)
+            for eq, names in eqs:
+                evaluate_equation(eq, random_assignment(rng, names, 8))
+            a, b = random_subspace(8, 5, seed=seed), random_subspace(8, 4, seed=seed + 10)
+            assert (~a).dim == 3 and (~~a) == a
+            assert (~a & ~b).dim == 0 and ((a & b) | ~(a | ~b)).dim >= 1
+        del a, b
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 class TestRestrict:

@@ -11,14 +11,19 @@ import inspect
 from pathlib import Path
 
 from qlat.search import falsify
+from qlat.subspace import Subspace, random_subspace
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
-def _targets() -> list:
+def _spans() -> dict:
     namespace = {"__name__": "perfbench_spans"}
     exec(compile(SPANS.read_text(), str(SPANS), "exec"), namespace)
-    return namespace["TARGETS"]
+    return namespace
+
+
+def _targets() -> list:
+    return _spans()["TARGETS"]
 
 
 def test_every_target_resolves():
@@ -42,3 +47,15 @@ def test_falsify_options_are_keyword_only():
     positional = [p.name for p in inspect.signature(falsify).parameters.values()
                   if p.kind is not p.KEYWORD_ONLY]
     assert positional == ["eq", "ambient_dim", "trials", "seed"]
+
+
+def test_ortho_adapter_reads_live_attributes():
+    # the subspace.ortho adapter reads the receiver's cached ortho (``_ortho``)
+    # to count hits; it runs on a fresh value, on its ortho and on the shared
+    # full space
+    tracer = _spans()["Tracer"]()
+    _, adapt = tracer._hooks()["subspace.ortho"]
+    s = random_subspace(6, 2, seed=1)
+    for x in (s, s.ortho(), Subspace.full(6)):
+        adapt((x,), {})
+    assert tracer.counts["ortho.hits"] == 2

@@ -249,6 +249,19 @@ class TestJson:
         assert subspace_from_json({"ambient": "2", "basis": []}) == Subspace.zero(2)
 
 
+@pytest.fixture
+def eliminations(monkeypatch):
+    calls = []
+    exact = qlat.subspace._canonical
+
+    def counted(rows, ncols):
+        calls.append(ncols)
+        return exact(rows, ncols)
+
+    monkeypatch.setattr(qlat.subspace, "_canonical", counted)
+    return calls
+
+
 def _oracle_ortho(m):
     return kernel(conj_entries(m))
 
@@ -317,18 +330,6 @@ class TestModularCertificates:
         assert Subspace.full(5).ortho().is_zero()
         assert Subspace.full(5).ortho().ortho() is Subspace.full(5)
 
-    @pytest.fixture
-    def eliminations(self, monkeypatch):
-        calls = []
-        exact = qlat.subspace._canonical
-
-        def counted(rows, ncols):
-            calls.append(ncols)
-            return exact(rows, ncols)
-
-        monkeypatch.setattr(qlat.subspace, "_canonical", counted)
-        return calls
-
     def test_generic_full_join_eliminates_nothing(self, eliminations):
         a, b = random_subspace(16, 8, seed=1), random_subspace(16, 8, seed=2)
         eliminations.clear()
@@ -387,3 +388,81 @@ class TestModularCertificates:
         oa, ob = a.basis, b.basis
         assert subspace_to_json(a | b) == _oracle_json(n, _oracle_join(oa, ob))
         assert subspace_to_json(a & b) == _oracle_json(n, _oracle_meet(oa, ob))
+
+
+def _overlapping_pair(rng, n, bound):
+    """Two subspaces of C^n that share a random number of a's rows, so their
+    meet is often neither 0 nor either operand and no certificate fires."""
+    a = random_subspace_rng(rng, n, rng.randint(0, n), bound)
+    shared = [list(r) for r in a.rows[:rng.randint(0, a.dim)]]
+    extra = random_subspace_rng(rng, n, rng.randint(0, n - len(shared)), bound)
+    return a, span([[GaussianRational(*z) for z in r] for r in shared + list(extra.rows)], n)
+
+
+class TestTwoOrientations:
+    """ortho flips a value between the forward echelon form (the RREF) and the
+    reverse one without an elimination; meet eliminates once, in reverse
+    column order. The boxed oracles and forward ``_canonical`` decide every
+    result."""
+
+    def test_ortho_eliminates_nothing(self, eliminations):
+        a = random_subspace(16, 7, seed=6)
+        full = span([[int(i == j) for j in range(16)] for i in range(16)], 16)
+        assert full is not Subspace.full(16)
+        eliminations.clear()
+        o = ~a
+        oo = ~o
+        assert o.rev and not oo.rev and o.dim == 9 and oo == a
+        assert (~full).is_zero() and not (~full).rev
+        assert (~~full).is_full()
+        assert eliminations == []
+
+    def test_ortho_is_the_other_orientation(self):
+        # ~a is the RREF of ~a taken with the columns in reverse order, rows in
+        # ascending pivot order; ~~a is a's own RREF, row for row.
+        rng = random.Random(11)
+        for n in range(1, 13):
+            a = random_subspace_rng(rng, n, rng.randint(0, n), 2)
+            o = ~a
+            num, den, piv = qlat.subspace._canonical([list(r[::-1]) for r in o.rows], n)
+            assert (o.rows, o.den, o.piv) == (tuple(r[::-1] for r in reversed(num)), den,
+                                              tuple(n - 1 - c for c in reversed(piv)))
+            assert o.rev == (0 < a.dim < n)
+            oo = ~o
+            assert (oo.rev, oo.rows, oo.den, oo.piv) == (False, a.rows, a.den, a.piv)
+
+    def test_uncertified_meet_eliminates_once(self, eliminations):
+        a = random_subspace(12, 7, seed=8)
+        b = span([[GaussianRational(*z) for z in r]
+                  for r in a.rows[:3] + random_subspace(12, 4, seed=9).rows], 12)
+        eliminations.clear()
+        m = a & b
+        assert len(eliminations) == 1
+        assert not m.rev and m.dim == 3
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 16), st.integers(1, 2), st.integers(0, 2 ** 32 - 1))
+    def test_mixed_orientations_match_oracle(self, n, bound, seed):
+        rng = random.Random(seed)
+        a, b = _overlapping_pair(rng, n, bound)
+        oa, ob = a.basis, b.basis
+        na, nb = _oracle_ortho(oa), _oracle_ortho(ob)
+        ops = [(~a, na), (~a & b, _oracle_meet(na, ob)), (~a | ~b, _oracle_join(na, nb)),
+               (~~a, oa), (~(~a | ~b), _oracle_meet(oa, ob)), (b, ob)]
+        want = [_oracle_json(n, ox) for _, ox in ops]
+        perp = [_oracle_ortho(ox) for _, ox in ops]
+        for (x, _), px in zip(ops, perp):
+            assert subspace_to_json(~x) == _oracle_json(n, px)
+        for i, ((x, ox), wx) in enumerate(zip(ops, want)):
+            assert subspace_to_json(x) == wx
+            for j in range(i, len(ops)):
+                (y, oy), wy = ops[j], want[j]
+                assert (x == y) == (y == x) == (wx == wy)
+                if wx == wy:
+                    assert hash(x) == hash(y)
+                joined = _oracle_json(n, _oracle_join(ox, oy))
+                assert x.leq(y) == (joined == wy) and y.leq(x) == (joined == wx)
+                assert subspace_to_json(x | y) == joined
+                # a & b = ~(~a | ~b), from the oracle orthocomplements already built
+                meet = _oracle_ortho(_oracle_join(perp[i], perp[j]))
+                assert subspace_to_json(x & y) == _oracle_json(n, meet)
