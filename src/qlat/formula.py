@@ -1,9 +1,10 @@
 """Propositional formulas over the subspace lattice.
 
 Connectives are meet (&), join (|) and orthocomplement (~), plus the bounds
-0 and 1. Formulas are immutable trees; generated families (the distribution
-test formula, its iterates, the m-distributive law) share subtrees, and
-evaluation memoizes on node identity so shared structure is computed once.
+0 and 1. Formulas are immutable DAGs: generated families (the distribution
+test formula, its iterates, the m-distributive law) share subformulas. Every
+walk memoizes on node identity, so it visits each distinct node once and maps
+a shared input node to one shared output node.
 
 Concrete syntax (whitespace insignificant; unicode aliases on input only):
 
@@ -246,64 +247,59 @@ def _prec(node: Formula) -> int:
 
 
 def to_source(node: Union[Formula, Equation]) -> str:
-    """Minimal-parenthesization source text; parse(to_source(f)) == f.
-
-    Text is memoized by node id within one call, so a shared node is printed
-    once however many parents it has.
-    """
+    """Minimal-parenthesization source text; parse(to_source(f)) == f."""
     memo: dict[int, str] = {}
-
-    def go(n: Formula) -> str:
-        text = memo.get(id(n))
-        if text is not None:
-            return text
-        t = type(n)
-        if t is Var:
-            text = n.name
-        elif t is Zero:
-            text = "0"
-        elif t is One:
-            text = "1"
-        elif t is Not:
-            inner = go(n.child)
-            text = f"~({inner})" if _prec(n.child) < 3 else f"~{inner}"
-        else:
-            op, p = ("&", 2) if t is And else ("|", 1)
-            left, right = go(n.left), go(n.right)
-            if _prec(n.left) < p:
-                left = f"({left})"
-            if _prec(n.right) <= p:
-                right = f"({right})"
-            text = f"{left} {op} {right}"
-        memo[id(n)] = text
-        return text
-
     if isinstance(node, Equation):
-        return f"{go(node.lhs)} {node.relation} {go(node.rhs)}"
-    return go(node)
+        return f"{_source(node.lhs, memo)} {node.relation} {_source(node.rhs, memo)}"
+    return _source(node, memo)
+
+
+def _source(n: Formula, memo: dict[int, str]) -> str:
+    text = memo.get(id(n))
+    if text is not None:
+        return text
+    t = type(n)
+    if t is Var:
+        text = n.name
+    elif t is Zero:
+        text = "0"
+    elif t is One:
+        text = "1"
+    elif t is Not:
+        inner = _source(n.child, memo)
+        text = f"~({inner})" if _prec(n.child) < 3 else f"~{inner}"
+    else:
+        op, p = ("&", 2) if t is And else ("|", 1)
+        left, right = _source(n.left, memo), _source(n.right, memo)
+        if _prec(n.left) < p:
+            left = f"({left})"
+        if _prec(n.right) <= p:
+            right = f"({right})"
+        text = f"{left} {op} {right}"
+    memo[id(n)] = text
+    return text
 
 
 def free_vars(node: Union[Formula, Equation]) -> set[str]:
-    if isinstance(node, Equation):
-        return free_vars(node.lhs) | free_vars(node.rhs)
-    out: set[str] = set()
+    names: set[str] = set()
     seen: set[int] = set()
+    for side in (node.lhs, node.rhs) if isinstance(node, Equation) else (node,):
+        _collect_vars(side, names, seen)
+    return names
 
-    def walk(n: Formula):
-        if id(n) in seen:
-            return
-        seen.add(id(n))
-        t = type(n)
-        if t is Var:
-            out.add(n.name)
-        elif t is Not:
-            walk(n.child)
-        elif t in (And, Or):
-            walk(n.left)
-            walk(n.right)
 
-    walk(node)
-    return out
+def _collect_vars(n: Formula, names: set[str], seen: set[int]) -> None:
+    if id(n) in seen:
+        return
+    seen.add(id(n))
+    t = type(n)
+    if t is Var:
+        names.add(n.name)
+    elif t is Not:
+        _collect_vars(n.child, names, seen)
+    elif t is And or t is Or:
+        _collect_vars(n.left, names, seen)
+        _collect_vars(n.right, names, seen)
 
 
 # ---------------------------------------------------------------------------
@@ -314,29 +310,32 @@ def to_nnf(f: Formula) -> Formula:
     """Push all negations onto variables; ~~x and negated constants simplify.
 
     The result is semantically equal under every evaluation (the lattice
-    satisfies De Morgan and double negation). Rebuilds the whole tree, so do
-    not use it on formulas with heavy internal sharing.
+    satisfies De Morgan and double negation).
     """
-    t = type(f)
-    if t in (Var, Zero, One):
-        return f
-    if t is And:
-        return And(to_nnf(f.left), to_nnf(f.right))
-    if t is Or:
-        return Or(to_nnf(f.left), to_nnf(f.right))
-    g = f.child
-    tg = type(g)
-    if tg is Var:
-        return f
-    if tg is Zero:
-        return ONE
-    if tg is One:
-        return ZERO
-    if tg is Not:
-        return to_nnf(g.child)
-    if tg is And:
-        return Or(to_nnf(Not(g.left)), to_nnf(Not(g.right)))
-    return And(to_nnf(Not(g.left)), to_nnf(Not(g.right)))
+    return _nnf(f, False, {})
+
+
+def _nnf(n: Formula, negated: bool, memo: dict[tuple[int, bool], Formula]) -> Formula:
+    """The NNF of ``~n`` if ``negated``, else of ``n``."""
+    key = (id(n), negated)
+    out = memo.get(key)
+    if out is not None:
+        return out
+    t = type(n)
+    if t is Not:
+        out = _nnf(n.child, not negated, memo)
+    elif t is And or t is Or:
+        if negated:
+            t = Or if t is And else And
+        out = t(_nnf(n.left, negated, memo), _nnf(n.right, negated, memo))
+    elif not negated:
+        out = n
+    elif t is Var:
+        out = Not(n)
+    else:
+        out = ONE if t is Zero else ZERO
+    memo[key] = out
+    return out
 
 
 def restrict(f: Formula, beta: Formula) -> Formula:
@@ -346,23 +345,29 @@ def restrict(f: Formula, beta: Formula) -> Formula:
     variable ~u becomes ~(u & beta) & beta, the complement within beta. The
     constant 1 restricts to beta and 0 to 0, which keeps the evaluation of the
     result contained in the evaluation of beta unconditionally. The same
-    ``beta`` node is shared at every substitution site.
+    ``beta`` node is shared at every substitution site, and so is the one
+    u & beta node of each variable object.
     """
-    def go(n: Formula) -> Formula:
-        t = type(n)
-        if t is Var:
-            return And(n, beta)
-        if t is Not:
-            return And(Not(And(n.child, beta)), beta)
-        if t is One:
-            return beta
-        if t is Zero:
-            return n
-        if t is And:
-            return And(go(n.left), go(n.right))
-        return Or(go(n.left), go(n.right))
+    return _restrict(to_nnf(f), beta, {})
 
-    return go(to_nnf(f))
+
+def _restrict(n: Formula, beta: Formula, memo: dict[int, Formula]) -> Formula:
+    out = memo.get(id(n))
+    if out is not None:
+        return out
+    t = type(n)
+    if t is Var:
+        out = And(n, beta)
+    elif t is Not:
+        out = And(Not(_restrict(n.child, beta, memo)), beta)
+    elif t is One:
+        out = beta
+    elif t is Zero:
+        out = n
+    else:
+        out = t(_restrict(n.left, beta, memo), _restrict(n.right, beta, memo))
+    memo[id(n)] = out
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -424,43 +429,34 @@ def evaluate_with_cache(f: Formula, assignment) -> tuple[Subspace, dict[int, Sub
     Structural recursion: & is meet, | is join, ~ is orthocomplement, 0 and 1
     are the bottom and top subspaces. Shared nodes are evaluated once.
     """
-    a = _coerce_assignment(assignment)
-    amb = a.ambient
-    bot = Subspace.zero(amb)
-    top = Subspace.full(amb)
     cache: dict[int, Subspace] = {}
+    return _evaluate(f, _coerce_assignment(assignment), cache), cache
 
-    def go(n: Formula) -> Subspace:
-        v = cache.get(id(n))
-        if v is not None:
-            return v
-        t = type(n)
-        if t is Var:
-            try:
-                v = a[n.name]
-            except KeyError:
-                raise UnboundVariableError(n.name) from None
-        elif t is And:
-            v = go(n.left).meet(go(n.right))
-        elif t is Or:
-            v = go(n.left).join(go(n.right))
-        elif t is Not:
-            v = go(n.child).ortho()
-        elif t is Zero:
-            v = bot
-        elif t is One:
-            v = top
-        else:
-            raise TypeError(f"not a formula node: {type(n).__name__}")
-        cache[id(n)] = v
+
+def _evaluate(n: Formula, a: Assignment, cache: dict[int, Subspace]) -> Subspace:
+    v = cache.get(id(n))
+    if v is not None:
         return v
-
-    # go refers to itself through its closure cell; emptying the cell breaks
-    # that cycle, so the cache and its values die by refcount.
-    try:
-        return go(f), cache
-    finally:
-        del go
+    t = type(n)
+    if t is Var:
+        try:
+            v = a[n.name]
+        except KeyError:
+            raise UnboundVariableError(n.name) from None
+    elif t is And:
+        v = _evaluate(n.left, a, cache).meet(_evaluate(n.right, a, cache))
+    elif t is Or:
+        v = _evaluate(n.left, a, cache).join(_evaluate(n.right, a, cache))
+    elif t is Not:
+        v = _evaluate(n.child, a, cache).ortho()
+    elif t is Zero:
+        v = Subspace.zero(a.ambient)
+    elif t is One:
+        v = Subspace.full(a.ambient)
+    else:
+        raise TypeError(f"not a formula node: {type(n).__name__}")
+    cache[id(n)] = v
+    return v
 
 
 def evaluate(f: Formula, assignment) -> Subspace:

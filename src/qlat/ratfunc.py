@@ -360,6 +360,3 @@ def coeffs_to_json(cs: Coeffs) -> list:
     """Lowest degree first, each coefficient as [numerator, denominator] strings."""
     return [[str(Fraction(c).numerator), str(Fraction(c).denominator)] for c in cs]
 
-
-def coeffs_from_json(items) -> Coeffs:
-    return _trim(tuple(Fraction(int(n), int(d)) for n, d in items))

@@ -2,6 +2,7 @@
 
 import gc
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -40,6 +41,7 @@ from qlat.formula import (
     to_nnf,
     to_source,
 )
+from qlat.search import qubit_alpha_separator
 from qlat.subspace import Subspace, random_subspace, span
 
 P = span([[1, 0]], 2)
@@ -208,9 +210,11 @@ class TestEvaluate:
 
 
 def test_lattice_values_leave_no_cyclic_garbage():
-    # Evaluation caches, assignments and lattice values die by refcount: with
-    # the collector off, nothing is left for a collection to free.
+    # Evaluation caches, assignments and lattice values die by refcount, and
+    # so does the memo of every formula walk (a module-level recursion, not a
+    # closure): with the collector off, nothing is left for a collection to free.
     eqs = [(eq, sorted(free_vars(eq))) for eq in (law("modularity"), law("orthomodularity"))]
+    f = alpha_levels(3)[-1]
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -222,6 +226,12 @@ def test_lattice_values_leave_no_cyclic_garbage():
             a, b = random_subspace(8, 5, seed=seed), random_subspace(8, 4, seed=seed + 10)
             assert (~a).dim == 3 and (~~a) == a
             assert (~a & ~b).dim == 0 and ((a & b) | ~(a | ~b)).dim >= 1
+        free_vars(law("modularity"))
+        alpha_levels(3)
+        qubit_alpha_separator(2, trials=3)
+        to_source(f)
+        to_nnf(f)
+        restrict(f, Var("b"))
         del a, b
         assert gc.collect() == 0
     finally:
@@ -469,3 +479,87 @@ class TestMemoizedPrinter:
         f = alpha_levels(3)[-1]
         assert to_source(f) == tree_source(f)
         assert to_source(Equation(f, ZERO)) == tree_source(Equation(f, ZERO))
+
+
+def tree_nnf(f):
+    """The tree-rebuilding NNF that ``to_nnf`` memoizes; the oracle."""
+    t = type(f)
+    if t in (Var, type(ZERO), type(ONE)):
+        return f
+    if t is And:
+        return And(tree_nnf(f.left), tree_nnf(f.right))
+    if t is Or:
+        return Or(tree_nnf(f.left), tree_nnf(f.right))
+    g = f.child
+    tg = type(g)
+    if tg is Var:
+        return f
+    if tg is type(ZERO):
+        return ONE
+    if tg is type(ONE):
+        return ZERO
+    if tg is Not:
+        return tree_nnf(g.child)
+    if tg is And:
+        return Or(tree_nnf(Not(g.left)), tree_nnf(Not(g.right)))
+    return And(tree_nnf(Not(g.left)), tree_nnf(Not(g.right)))
+
+
+def tree_restrict(f, beta):
+    """The tree-rebuilding restriction that ``restrict`` memoizes; the oracle."""
+    def go(n):
+        t = type(n)
+        if t is Var:
+            return And(n, beta)
+        if t is Not:
+            return And(Not(And(n.child, beta)), beta)
+        if t is type(ONE):
+            return beta
+        if t is type(ZERO):
+            return n
+        return t(go(n.left), go(n.right))
+
+    return go(tree_nnf(f))
+
+
+def distinct_nodes(f) -> int:
+    seen, stack = set(), [f]
+    while stack:
+        n = stack.pop()
+        if id(n) not in seen:
+            seen.add(id(n))
+            stack.extend(getattr(n, slot) for slot in ("child", "left", "right")
+                         if hasattr(n, slot))
+    return len(seen)
+
+
+class TestSharedWalks:
+    """``to_nnf`` and ``restrict`` against the tree oracles, and their sharing."""
+
+    def test_random_formulas_match_oracles(self):
+        rng = random.Random(41)
+        for _ in range(300):
+            f = random_formula(rng, ("u", "v", "w"), depth=rng.randint(0, 7))
+            beta = random_formula(rng, ("b",), depth=2)
+            assert to_nnf(f) == tree_nnf(f)
+            assert restrict(f, beta) == tree_restrict(f, beta)
+
+    @pytest.mark.parametrize("f", [alpha_levels(2)[-1], distinctness_formula("pqrs")],
+                             ids=["alpha_levels(2)", "distinctness(pqrs)"])
+    def test_shared_formulas_match_oracles(self, f):
+        beta = alpha(("x", "y", "z"))
+        assert to_nnf(f) == tree_nnf(f)
+        assert restrict(f, beta) == tree_restrict(f, beta)
+
+    def test_level_node_counts(self):
+        assert [distinct_nodes(alpha_levels(m)[-1]) for m in range(1, 6)] == [
+            13 + 25 * (m - 1) for m in range(1, 6)]
+
+    def test_linear_in_distinct_nodes(self):
+        # unfolded, this formula has about 3.4e8 nodes; the walks see 121
+        f = distinctness_formula("pqrstu")
+        bound = 2 * distinct_nodes(f)
+        start = time.perf_counter()
+        nnf, restricted = to_nnf(f), restrict(f, Var("b"))
+        assert time.perf_counter() - start < 1.0
+        assert distinct_nodes(nnf) <= bound and distinct_nodes(restricted) <= bound

@@ -10,6 +10,8 @@ import importlib
 import inspect
 from pathlib import Path
 
+from qlat import formula
+from qlat.formula import Assignment, Var, alpha_levels, evaluate_with_cache, free_vars
 from qlat.search import falsify
 from qlat.subspace import Subspace, random_subspace
 
@@ -59,3 +61,29 @@ def test_ortho_adapter_reads_live_attributes():
     for x in (s, s.ortho(), Subspace.full(6)):
         adapt((x,), {})
     assert tracer.counts["ortho.hits"] == 2
+
+
+def test_node_count_reads_one_entry_per_distinct_node():
+    # the formula.nodes hook counts len(evaluate_with_cache(...)[1])
+    f = alpha_levels(3)[-1]
+    a = Assignment({name: random_subspace(4, 2, seed=i)
+                    for i, name in enumerate(sorted(free_vars(f)))})
+    value, cache = evaluate_with_cache(f, a)
+    assert isinstance(value, Subspace) and type(cache) is dict
+    assert len(cache) == 63 and cache[id(f)] is value
+
+
+def test_restrict_makes_one_to_nnf_span():
+    # the normal form recursion is private, so a traced restrict records one
+    # formula.to_nnf span, not one per node
+    f = alpha_levels(2)[-1]
+    for mod_name, _, _ in _targets():
+        importlib.import_module(mod_name)
+    tracer = _spans()["Tracer"]()
+    tracer.install()
+    try:
+        formula.restrict(f, Var("b"))
+    finally:
+        tracer.uninstall()
+    calls, _ = tracer.self_times()
+    assert calls["formula.restrict"] == 1 and calls["formula.to_nnf"] == 1

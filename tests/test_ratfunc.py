@@ -11,7 +11,6 @@ from qlat.ratfunc import (
     RF_ONE,
     RF_ZERO,
     RationalFunction,
-    coeffs_from_json,
     coeffs_to_json,
 )
 
@@ -118,7 +117,3 @@ class TestJson:
         f = RF_ONE - RF_ONE / (RF_D * RF_D)
         assert coeffs_to_json(f.num) == [["-1", "1"], ["0", "1"], ["1", "1"]]
         assert coeffs_to_json(f.den) == [["0", "1"], ["0", "1"], ["1", "1"]]
-
-    def test_round_trip(self):
-        cs = (Fraction(1, 2), Fraction(0), Fraction(-3))
-        assert coeffs_from_json(coeffs_to_json(cs)) == cs
