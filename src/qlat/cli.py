@@ -255,8 +255,8 @@ def _tl_jw(args) -> int:
         report["d"] = root_params(r)
         report["numeric_trace"] = eval_at_root(trace, r)
         report["numeric_coefficients"] = [
-            {"pairing": [[a, b] for a, b in diag.pairing], "value": numeric.terms[diag]}
-            for diag in sorted(numeric.terms)
+            {"pairing": [[a, b] for a, b in diag.pairing], "value": numeric[diag]}
+            for diag in sorted(numeric)
         ]
     emit(_stamp(report, args), args)
     return EXIT_OK

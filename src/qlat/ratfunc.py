@@ -7,8 +7,9 @@ form is canonical, so equality is a tuple comparison, and all arithmetic runs
 on machine/big integers with a primitive-PRS gcd, which keeps the symbolic
 identity checks of the diagram algebra fast.
 
-The public ``num``/``den`` properties expose the equivalent reduced view with
-Fraction coefficients and a monic denominator.
+That integer pair is the only form; output reads ``inum`` and ``iden``
+directly, and ``coeffs_to_json`` writes them over the leading denominator
+coefficient with one integer gcd per entry.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-Coeffs = tuple[Fraction, ...]
 IntCoeffs = tuple[int, ...]
 
 P_ZERO: IntCoeffs = ()
@@ -187,6 +187,8 @@ class RationalFunction:
 
     @classmethod
     def constant(cls, v) -> "RationalFunction":
+        if isinstance(v, int):
+            return cls._raw((v,), P_ONE)
         v = Fraction(v)
         return cls._raw((v.numerator,), (v.denominator,))
 
@@ -196,18 +198,6 @@ class RationalFunction:
         if k >= 0:
             return cls._raw((0,) * k + (1,), P_ONE)
         return cls._raw(P_ONE, (0,) * (-k) + (1,))
-
-    @property
-    def num(self) -> Coeffs:
-        """Numerator in the monic-denominator reduced view (Fractions)."""
-        lead = self.iden[-1]
-        return tuple(Fraction(c, lead) for c in self.inum)
-
-    @property
-    def den(self) -> Coeffs:
-        """Denominator in the monic reduced view (Fractions)."""
-        lead = self.iden[-1]
-        return tuple(Fraction(c, lead) for c in self.iden)
 
     @staticmethod
     def _coerce(x):
@@ -356,7 +346,8 @@ RF_ONE = RationalFunction((1,))
 RF_D = RationalFunction.variable()
 
 
-def coeffs_to_json(cs: Coeffs) -> list:
-    """Lowest degree first, each coefficient as [numerator, denominator] strings."""
-    return [[str(Fraction(c).numerator), str(Fraction(c).denominator)] for c in cs]
+def coeffs_to_json(cs: IntCoeffs, lead: int) -> list:
+    """The values ``c / lead`` for integer ``cs`` and ``lead > 0``, lowest degree
+    first, each in lowest terms as [numerator, denominator] strings."""
+    return [[str(c // (g := gcd(c, lead))), str(lead // g)] for c in cs]
 

@@ -138,6 +138,8 @@ def falsify(eq, ambient_dim: int, trials: int = DEFAULT_TRIALS, seed: int = 0, *
         raise ValueError("at least one trial is required")
     if ambient_dim < 1:
         raise ValueError("ambient dimension must be at least 1")
+    if entry_bound < 1:
+        raise ValueError("entry bound must be at least 1")
     eq_vars = tuple(sorted(free_vars(eq)))
     with_nodes = audit is not None and "nodes" in inspect.signature(audit).parameters
     for t in range(trials):

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .ratfunc import (
@@ -318,8 +317,8 @@ class TLElement:
         return self * -1
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, RationalFunction)):
-            k = other if isinstance(other, RationalFunction) else RationalFunction.constant(other)
+        k = RationalFunction._coerce(other)
+        if k is not None:
             return TLElement._make(self.n, {d: ip_mul(a, k.inum) for d, a in self.nums.items()},
                                    ip_mul(self.den, k.iden))
         if not isinstance(other, TLElement):
@@ -352,9 +351,8 @@ class TLElement:
         return TLElement._make(self.n, {d.reflect(): a for d, a in self.nums.items()}, self.den)
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, RationalFunction)):
-            return self * other
-        return NotImplemented
+        # reached only for a non-element left operand; scalars commute
+        return self * other
 
     def __repr__(self):
         if not self.nums:
@@ -398,7 +396,7 @@ class ChebyshevPoly:
         return ip_eval(self.coeffs, x)
 
     def as_rational_function(self) -> RationalFunction:
-        return RationalFunction(self.coeffs)
+        return RationalFunction._raw(self.coeffs, P_ONE)
 
 
 @lru_cache(maxsize=None)
@@ -479,17 +477,6 @@ def eval_at_root(f: RationalFunction, r: int) -> float:
     return ip_eval(f.inum, d) / den
 
 
-@dataclass(frozen=True)
-class NumericTLElement:
-    """A diagram combination with double-precision coefficients."""
-
-    n: int
-    terms: dict
-
-    def coefficient(self, diag: PlanarDiagram) -> float:
-        return self.terms.get(diag, 0.0)
-
-
 def projector_level_error(n: int, r: int) -> str | None:
     """Why the level-n projector has no value at the level-r root of unity, or
     None when it has one. The rule: at a level-r root the projectors exist
@@ -501,8 +488,9 @@ def projector_level_error(n: int, r: int) -> str | None:
     return f"projector level {n} unavailable at r={r}: defined only for n = 1..{r - 1}"
 
 
-def jw_at_root(n: int, r: int) -> NumericTLElement:
-    """The projector specialized at d = 2 cos(pi/r).
+def jw_at_root(n: int, r: int) -> dict:
+    """The projector specialized at d = 2 cos(pi/r), as {diagram: float} over
+    its nonzero diagrams.
 
     A level that ``projector_level_error`` rules out raises ValueError.
     Coefficient denominators are checked against poles.
@@ -510,17 +498,19 @@ def jw_at_root(n: int, r: int) -> NumericTLElement:
     error = projector_level_error(n, r)
     if error:
         raise ValueError(error)
-    p = jones_wenzl(n)
-    return NumericTLElement(n, {diag: eval_at_root(c, r) for diag, c in p.terms.items()})
+    return {diag: eval_at_root(c, r) for diag, c in jones_wenzl(n).terms.items()}
 
 
 def tl_to_json(x: TLElement) -> dict:
-    """{"n": strands, "terms": [{"pairing": ..., "coeff": {"num":, "den":}}]}"""
+    """{"n": strands, "terms": [{"pairing": ..., "coeff": {"num":, "den":}}]}
+    in diagram order. Each coefficient is its reduced integer pair divided by
+    the denominator's leading coefficient: lowest terms over a monic denominator."""
     terms = []
     for diag in sorted(x.terms):
         c = x.terms[diag]
+        lead = c.iden[-1]
         terms.append({
             "pairing": [[a, b] for a, b in diag.pairing],
-            "coeff": {"num": coeffs_to_json(c.num), "den": coeffs_to_json(c.den)},
+            "coeff": {"num": coeffs_to_json(c.inum, lead), "den": coeffs_to_json(c.iden, lead)},
         })
     return {"n": x.n, "terms": terms}

@@ -2,11 +2,14 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import qlat
 from qlat.cli import build_parser, main
 from qlat.formula import evaluate_equation, m_distributive, parse, to_source
 from qlat.search import verdict_from_json
@@ -17,6 +20,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_module(*argv):
+    """``python -m qlat.cli`` in a child process that imports the same package
+    as this one."""
+    src = str(Path(qlat.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "qlat.cli", *argv],
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
 
 
 @pytest.fixture
@@ -77,8 +89,7 @@ class TestEval:
         # int() would truncate these to a wrong subspace and exit 0
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"p": subspace}))
-        proc = subprocess.run([sys.executable, "-m", "qlat.cli", "eval", "p", str(path)],
-                              capture_output=True, text=True)
+        proc = run_module("eval", "p", str(path))
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr.count("\n") == 1
@@ -88,8 +99,7 @@ class TestEval:
     def test_deeply_nested_file_exit_2(self, tmp_path):
         path = tmp_path / "deep.json"
         path.write_text("[" * 100000)
-        proc = subprocess.run([sys.executable, "-m", "qlat.cli", "eval", "p", str(path)],
-                              capture_output=True, text=True)
+        proc = run_module("eval", "p", str(path))
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr.count("\n") == 1
@@ -147,6 +157,14 @@ class TestCheckLaw:
         _, out2, _ = run(capsys, "check-law", "distributivity",
                          "--dim", "2", "--json", "--seed", "11")
         assert out1 == out2
+
+    @pytest.mark.parametrize("cmd,target,bound", [
+        ("check-law", "0=0", "0"), ("falsify", "0=0", "-5"),
+        ("check-law", "x=x", "0"), ("falsify", "x=x", "-5")])
+    def test_entry_bound_below_one_exit_2(self, capsys, cmd, target, bound):
+        code, out, err = run(capsys, cmd, target, "--dim", "2", "--entry-bound", bound)
+        assert code == 2 and out == ""
+        assert err == "error: entry bound must be at least 1\n"
 
     def test_parallel_flag_removed(self):
         with pytest.raises(SystemExit) as exc:
@@ -312,8 +330,7 @@ class TestPrinters:
         assert to_source(parse(out.strip())) == out.strip()
 
     def test_mdist_over_size_cap_exit_2(self):
-        proc = subprocess.run([sys.executable, "-m", "qlat.cli", "mdist", "500"],
-                              capture_output=True, text=True)
+        proc = run_module("mdist", "500")
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr.count("\n") == 1 and "size cap 16" in proc.stderr
@@ -350,6 +367,30 @@ class TestTl:
         assert hashlib.sha256(out.encode()).hexdigest() == dict(GOLDEN_STDOUT)[
             "tl trace --n 5 --r 7 --json"]
 
+    @pytest.mark.parametrize("argv", ["tl jw --n 5 --r 7 --json",
+                                      "tl trace --n 5 --r 7 --json",
+                                      "tl relations --n 5 --json"])
+    def test_no_fraction_built(self, capsys, monkeypatch, argv):
+        # coefficients stay integer pairs from construction to output
+        import fractions
+        import qlat.templieb
+
+        for cached in (qlat.templieb.jones_wenzl, qlat.templieb.chebyshev,
+                       qlat.templieb._interned):
+            cached.cache_clear()
+        built = []
+        plain = fractions.Fraction.__new__
+
+        def counted(cls, *args, **kwargs):
+            built.append(args)
+            return plain(cls, *args, **kwargs)
+
+        monkeypatch.setattr(fractions.Fraction, "__new__", staticmethod(counted))
+        code, out, _ = run(capsys, *argv.split())
+        monkeypatch.undo()
+        assert code == 0 and json.loads(out)
+        assert len(built) == 0
+
     def test_relations_rejects_r(self, capsys):
         code, out, err = run(capsys, "tl", "relations", "--n", "3", "--r", "5")
         assert code == 2 and out == ""
@@ -378,17 +419,12 @@ class TestTl:
 
 class TestEntryPoint:
     def test_module_invocation(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "qlat.cli", "check-law", "excluded_middle",
-             "--dim", "2", "--trials", "20", "--json"],
-            capture_output=True, text=True)
+        proc = run_module("check-law", "excluded_middle", "--dim", "2", "--trials", "20", "--json")
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["status"] == "no_counterexample"
 
     def test_malformed_input_no_traceback(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "qlat.cli", "falsify", "((", "--dim", "2"],
-            capture_output=True, text=True)
+        proc = run_module("falsify", "((", "--dim", "2")
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
 
@@ -398,9 +434,7 @@ class TestEntryPoint:
         " | ".join(["x"] * 3000) + " = x",
     ], ids=["negations", "parentheses", "left-deep-join"])
     def test_deep_formula_text_exit_2(self, text):
-        proc = subprocess.run(
-            [sys.executable, "-m", "qlat.cli", "falsify", text, "--dim", "2"],
-            capture_output=True, text=True)
+        proc = run_module("falsify", text, "--dim", "2")
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr.count("\n") == 1 and "nested deeper than" in proc.stderr

@@ -12,8 +12,10 @@ from pathlib import Path
 
 from qlat import formula
 from qlat.formula import Assignment, Var, alpha_levels, evaluate_with_cache, free_vars
+from qlat.ratfunc import RF_D, RF_ONE
 from qlat.search import falsify
 from qlat.subspace import Subspace, random_subspace
+from qlat.templieb import jones_wenzl
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -61,6 +63,19 @@ def test_ortho_adapter_reads_live_attributes():
     for x in (s, s.ortho(), Subspace.full(6)):
         adapt((x,), {})
     assert tracer.counts["ortho.hits"] == 2
+
+
+def test_tl_hooks_read_live_attributes():
+    # templieb.jw_terms reads a projector's ``terms``; ratfunc.max_degree reads
+    # an arithmetic result's ``inum`` and ``iden``
+    tracer = _spans()["Tracer"]()
+    hooks = tracer._hooks()
+    (jw_terms,) = hooks["templieb.jones_wenzl"]
+    (degree,) = hooks["ratfunc.arith"]
+    jw_terms((3,), {}, jones_wenzl(3))
+    degree((RF_ONE,), {}, RF_ONE / (RF_D ** 2 - 2))
+    assert tracer.counts["templieb.jw_terms"] == 5
+    assert tracer.counts["ratfunc.max_degree"] == 2
 
 
 def test_node_count_reads_one_entry_per_distinct_node():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import fraction_coeffs_to_json
 from qlat.ratfunc import (
     RF_D,
     RF_ONE,
@@ -34,14 +35,17 @@ class TestCanonicalForm:
 
     def test_monic_denominator_view(self):
         f = rf((1,), (0, 2))  # 1/(2d)
-        assert f.den[-1] == 1
-        assert f.num == (Fraction(1, 2),)
+        assert (f.inum, f.iden) == ((1,), (0, 2))
+        # written over the monic denominator d: (1/2) / d
+        assert coeffs_to_json(f.inum, f.iden[-1]) == [["1", "2"]]
+        assert coeffs_to_json(f.iden, f.iden[-1]) == [["0", "1"], ["1", "1"]]
         assert f.evaluate(Fraction(3)) == Fraction(1, 6)
 
     def test_gcd_of_num_den_trivial(self):
         f = rf((0, 2, 2), (0, 0, 4))  # (2d + 2d^2) / 4d^2 = (1 + d)/(2d)
-        assert f.num == (Fraction(1, 2), Fraction(1, 2))
-        assert f.den == (Fraction(0), Fraction(1))
+        assert (f.inum, f.iden) == ((1, 1), (0, 2))
+        assert coeffs_to_json(f.inum, f.iden[-1]) == [["1", "2"], ["1", "2"]]
+        assert coeffs_to_json(f.iden, f.iden[-1]) == [["0", "1"], ["1", "1"]]
 
     def test_zero_handling(self):
         assert not RF_ZERO
@@ -99,8 +103,8 @@ class TestArithmetic:
     @settings(max_examples=100, deadline=None)
     @given(small_rf)
     def test_canonical_invariants(self, a):
-        # denominator monic in the public view; internal pair coprime
-        assert a.den[-1] == 1
+        # positive leading denominator coefficient; coprime pair
+        assert a.iden[-1] > 0
         from qlat.ratfunc import ip_gcd
         if a:
             assert ip_gcd(a.inum, a.iden) == (1,)
@@ -115,5 +119,26 @@ class TestArithmetic:
 class TestJson:
     def test_format(self):
         f = RF_ONE - RF_ONE / (RF_D * RF_D)
-        assert coeffs_to_json(f.num) == [["-1", "1"], ["0", "1"], ["1", "1"]]
-        assert coeffs_to_json(f.den) == [["0", "1"], ["0", "1"], ["1", "1"]]
+        assert (f.inum, f.iden) == ((-1, 0, 1), (0, 0, 1))
+        assert coeffs_to_json(f.inum, f.iden[-1]) == [["-1", "1"], ["0", "1"], ["1", "1"]]
+        assert coeffs_to_json(f.iden, f.iden[-1]) == [["0", "1"], ["0", "1"], ["1", "1"]]
+
+    @pytest.mark.parametrize("cs,lead", [
+        ((0, 3, 0, -6), 3),       # zero coefficients, negative numerator
+        ((-4, 6, -9, 12), 6),     # lead > 1, mixed reductions
+        ((-7,), 1),
+        ((5, -10, 0), 10),
+        (RF_ZERO.inum, RF_ZERO.iden[-1]),  # the zero function
+        (RF_ZERO.iden, RF_ZERO.iden[-1]),
+    ])
+    def test_matches_fraction_writer(self, cs, lead):
+        assert coeffs_to_json(cs, lead) == fraction_coeffs_to_json(
+            [Fraction(c, lead) for c in cs])
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_rf)
+    def test_matches_fraction_writer_on_reduced_values(self, f):
+        lead = f.iden[-1]
+        for cs in (f.inum, f.iden):
+            assert coeffs_to_json(cs, lead) == fraction_coeffs_to_json(
+                [Fraction(c, lead) for c in cs])

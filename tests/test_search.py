@@ -116,6 +116,14 @@ class TestFalsify:
         with pytest.raises(ValueError):
             falsify(law("modularity"), 2, 0, seed=0)
 
+    @pytest.mark.parametrize("source", ["0 = 0", "x = x"])
+    @pytest.mark.parametrize("bound", [0, -5])
+    def test_entry_bound_checked_before_any_draw(self, source, bound):
+        # an equation without variables draws nothing, so only the up-front
+        # check can reject the bound
+        with pytest.raises(ValueError, match="entry bound must be at least 1"):
+            falsify(parse_equation(source), 2, 3, seed=0, entry_bound=bound)
+
     def test_verdict_invariants(self):
         with pytest.raises(ValueError):
             Verdict("bogus", law("modularity"), 2, 1, 0)

@@ -1,5 +1,6 @@
 """Diagram algebra: planar matchings, generator relations, projectors, traces."""
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -8,12 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import fraction_tl_to_json
 from qlat.ratfunc import RF_D, RF_ONE, RationalFunction, ip_reduce
 import qlat.templieb
 from qlat.templieb import (
     ChebyshevPoly,
     JonesWenzlError,
-    NumericTLElement,
     PlanarDiagram,
     PoleError,
     TLElement,
@@ -171,6 +172,7 @@ class TestCommonDenominatorOracle:
         assert elem.nums == other.nums and elem.den == other.den
         nums = list(elem.nums.values())
         assert ip_reduce(nums, elem.den) == (nums, elem.den)
+        assert tl_to_json(elem) == fraction_tl_to_json(elem)
 
     @settings(max_examples=150, deadline=None)
     @given(st.data(), st.integers(1, 4), ratfuncs.filter(bool))
@@ -436,14 +438,14 @@ class TestRoots:
 
     def test_jw_at_root_values(self):
         num = jw_at_root(2, 4)
-        assert isinstance(num, NumericTLElement)
-        coeffs = sorted(num.terms.values())
+        assert type(num) is dict and {d.n for d in num} == {2}
+        coeffs = sorted(num.values())
         assert coeffs[0] == pytest.approx(-1 / math.sqrt(2))
         assert coeffs[1] == pytest.approx(1.0)
 
     @pytest.mark.parametrize("r", [3, 4, 5])
     def test_boundary_levels(self, r):
-        assert jw_at_root(r - 1, r).n == r - 1
+        assert {d.n for d in jw_at_root(r - 1, r)} == {r - 1}
         with pytest.raises(ValueError):
             jw_at_root(r, r)
 
@@ -463,6 +465,12 @@ class TestJson:
         term = blob["terms"][0]
         assert set(term) == {"pairing", "coeff"}
         assert set(term["coeff"]) == {"num", "den"}
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_projector_matches_fraction_writer(self, n):
+        new, old = tl_to_json(jones_wenzl(n)), fraction_tl_to_json(jones_wenzl(n))
+        assert new == old
+        assert json.dumps(new, sort_keys=True) == json.dumps(old, sort_keys=True)
 
     def test_deterministic_order(self):
         a = tl_to_json(jones_wenzl(3))
