@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 
 from .linalg import (
     GaussianRational,
-    Rational,
     RationalMatrix,
     conj_transpose,
     kernel,

@@ -40,6 +40,7 @@ from .search import (
     separate_dims,
     verdict_to_json,
 )
+from .linalg import int_from_json
 from .subspace import DEFAULT_ENTRY_BOUND, subspace_to_json
 from .ratfunc import RF_D
 from .templieb import (
@@ -135,8 +136,13 @@ def cmd_eval(args) -> int:
             raw = json.load(fh)
     except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise UsageError(f"cannot read assignment file: {exc}")
+    # decoding eliminates every basis, so each declared ambient is capped first
+    if args.dim is not None:
+        check_size_cap(args.dim)
+    for val in raw.values() if isinstance(raw, dict) else ():
+        if isinstance(val, dict) and "ambient" in val:
+            check_size_cap(int_from_json(val["ambient"], "ambient"))
     assignment = assignment_from_json(raw, args.dim)
-    check_size_cap(assignment.ambient)
     value = evaluate(formula, assignment)
     report = _stamp({
         "formula": to_source(formula),

@@ -1,12 +1,13 @@
 """Exact linear algebra over the Gaussian rationals.
 
-Scalars live in Q(i): complex numbers whose real and imaginary parts are
-arbitrary-precision rationals (``fractions.Fraction``). Every operation is
-exact; nothing here touches floating point. Row reduction runs fraction-free
-on Gaussian-integer rows (Montante/Bareiss full elimination), which keeps
-intermediate entries bounded by minors of the input and stays fast even when
-coefficients grow large. The reduced row echelon form is unique, so it doubles
-as a canonical form: two row spaces are equal iff their RREFs are identical.
+Every operation is exact; nothing here touches floating point. Row reduction
+runs fraction-free on Gaussian-integer rows (Montante/Bareiss full
+elimination), which keeps intermediate entries bounded by minors of the input
+and stays fast even when coefficients grow large. The reduced row echelon form
+is unique, so it doubles as a canonical form. ``_int_row`` is the one reader
+of such rows, from entry quadruples ``(re_num, re_den, im_num, im_den)``. The
+boxed half, ``GaussianRational`` (``fractions.Fraction`` parts) and
+``RationalMatrix``, is the ``Subspace.basis`` view and the test oracle.
 
 ``rank_mod_p`` is the one modular routine: a rank over F_p, through a ring
 homomorphism Z[i] -> F_p, that bounds the exact rank from below. It certifies
@@ -19,8 +20,6 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd, lcm
-
-Rational = Fraction
 
 
 def _frac(x) -> Fraction:
@@ -65,12 +64,6 @@ class GaussianRational:
             return NotImplemented
         return GaussianRational(self.re - o.re, self.im - o.im)
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(o.re - self.re, o.im - self.im)
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -93,12 +86,6 @@ class GaussianRational:
             (self.re * o.re + self.im * o.im) / n,
             (self.im * o.re - self.re * o.im) / n,
         )
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
 
     def __neg__(self):
         return GaussianRational(-self.re, -self.im)
@@ -144,14 +131,10 @@ GR_ONE = GaussianRational(1)
 GR_I = GaussianRational(0, 1)
 
 
-def entry_to_json(z: GaussianRational) -> list:
-    """Serialize to the 4-integer-string wire format."""
-    return [
-        str(z.re.numerator),
-        str(z.re.denominator),
-        str(z.im.numerator),
-        str(z.im.denominator),
-    ]
+def entry_to_json(a: int, b: int, den: int) -> list:
+    """``(a + b*i) / den``, ``den > 0``, as wire strings, each part in lowest terms."""
+    g, h = gcd(a, den), gcd(b, den)
+    return [str(a // g), str(den // g), str(b // h), str(den // h)]
 
 
 _DECIMAL = re.compile(r"[+-]?[0-9]+")
@@ -165,13 +148,32 @@ def int_from_json(x, what: str) -> int:
     raise ValueError(f"{what} must be an integer or a decimal string, got {x!r}")
 
 
-def entry_from_json(item) -> GaussianRational:
+def entry_from_json(item) -> tuple[int, int, int, int]:
+    """A wire entry as ``(re_num, re_den, im_num, im_den)``, not reduced."""
     if not isinstance(item, (list, tuple)) or len(item) != 4:
         raise ValueError(f"matrix entry must be a 4-element list, got {item!r}")
     rn, rd, imn, imd = (int_from_json(s, "matrix entry part") for s in item)
     if not rd or not imd:
         raise ValueError(f"matrix entry has a zero denominator: {item!r}")
-    return GaussianRational(Fraction(rn, rd), Fraction(imn, imd))
+    return rn, rd, imn, imd
+
+
+def _entry_parts(x) -> tuple[int, int, int, int]:
+    """An int, Fraction or GaussianRational as ``entry_from_json``'s quadruple."""
+    if isinstance(x, GaussianRational):
+        return x.re.numerator, x.re.denominator, x.im.numerator, x.im.denominator
+    if isinstance(x, (int, Fraction)):
+        return x.numerator, x.denominator, 0, 1
+    raise TypeError(f"cannot use {type(x).__name__} as a matrix entry")
+
+
+def _int_row(parts, ncols: int) -> list[tuple[int, int]]:
+    """``ncols`` entry quadruples as Gaussian integers, scaled by the lcm of the
+    |denominators|; unreduced parts and negative denominators keep their value."""
+    if len(parts) != ncols:
+        raise ValueError(f"vector length {len(parts)} does not match ambient {ncols}")
+    den = lcm(*(d for _, rd, _, imd in parts for d in (rd, imd)))
+    return [(rn * (den // rd), imn * (den // imd)) for rn, rd, imn, imd in parts]
 
 
 class RationalMatrix:
@@ -217,9 +219,6 @@ class RationalMatrix:
 
     def __hash__(self):
         return hash((self.rows, self.cols, self.entries))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __repr__(self):
         if self.rows == 0:
@@ -284,17 +283,6 @@ def vstack(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
     if a.cols != b.cols:
         raise ValueError("column count mismatch in vstack")
     return RationalMatrix(a.rows + b.rows, a.cols, a.entries + b.entries)
-
-
-def _int_rows(m: RationalMatrix) -> list[list[tuple[int, int]]]:
-    # Scale each row to Gaussian-integer form; row scaling preserves the
-    # row space, and RREF normalizes pivots anyway.
-    rows = []
-    for r in m.entries:
-        den = lcm(*(x.denominator for z in r for x in (z.re, z.im)))
-        rows.append([(z.re.numerator * (den // z.re.denominator),
-                      z.im.numerator * (den // z.im.denominator)) for z in r])
-    return rows
 
 
 def _ff_gauss_jordan(rows: list[list[tuple[int, int]]], ncols: int):
@@ -417,7 +405,7 @@ def _rational_matrix(num, den: int, ncols: int) -> RationalMatrix:
         [GaussianRational(Fraction(a, den), Fraction(b, den)) for a, b in row] for row in num])
 
 
-def _null_rows(num, den: int, piv, ncols: int) -> list[list[tuple[int, int]]]:
+def _null_rows(num, den: int, piv, ncols: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Integer rows spanning the null space of the RREF ``num / den``: free
     column f gives v[f] = den and v[pc] = -num[k][f] for the k-th pivot pc."""
     rows = []
@@ -427,8 +415,13 @@ def _null_rows(num, den: int, piv, ncols: int) -> list[list[tuple[int, int]]]:
             v[f] = (den, 0)
             for row, pc in zip(num, piv):
                 v[pc] = (-row[f][0], -row[f][1])
-            rows.append(v)
-    return rows
+            rows.append(tuple(v))
+    return tuple(rows)
+
+
+def _canonical_boxed(rows, ncols: int):
+    """``_canonical`` of rows of int, Fraction or GaussianRational entries."""
+    return _canonical([_int_row([_entry_parts(x) for x in r], ncols) for r in rows], ncols)
 
 
 def rref(m: RationalMatrix) -> tuple[RationalMatrix, int, list[int]]:
@@ -438,14 +431,14 @@ def rref(m: RationalMatrix) -> tuple[RationalMatrix, int, list[int]]:
     zeros above and below every pivot, and zero rows trailing; it is the
     unique RREF of the row space of ``m``.
     """
-    num, den, piv = _canonical(_int_rows(m), m.cols)
+    num, den, piv = _canonical_boxed(m.entries, m.cols)
     out = _rational_matrix(num, den, m.cols).entries + ((GR_ZERO,) * m.cols,) * (m.rows - len(piv))
     return RationalMatrix(m.rows, m.cols, out), len(piv), list(piv)
 
 
 def row_space(m: RationalMatrix) -> RationalMatrix:
     """Canonical basis of the row space: the nonzero rows of the RREF."""
-    return _rational_matrix(*_canonical(_int_rows(m), m.cols)[:2], m.cols)
+    return _rational_matrix(*_canonical_boxed(m.entries, m.cols)[:2], m.cols)
 
 
 def rank(m: RationalMatrix) -> int:
@@ -458,5 +451,5 @@ def kernel(m: RationalMatrix) -> RationalMatrix:
     The result has cols(m) - rank(m) rows; kernel of a 0-row matrix is all
     of the ambient space.
     """
-    null = _null_rows(*_canonical(_int_rows(m), m.cols), m.cols)
-    return _rational_matrix(*_canonical(null, m.cols)[:2], m.cols)
+    null = _null_rows(*_canonical_boxed(m.entries, m.cols), m.cols)
+    return _rational_matrix(*_canonical([list(r) for r in null], m.cols)[:2], m.cols)

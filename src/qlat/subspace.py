@@ -8,8 +8,8 @@ with the columns in reverse order, with each row's pivot at its last nonzero
 column. Either way rows are in ascending pivot order, so each orientation is
 unique per subspace and equality within one orientation is syntactic.
 
-The kernel rows that ``linalg._null_rows`` reads off one orientation are, after
-one gcd, the orthocomplement's form in the other orientation (matroid duality,
+The kernel rows that ``linalg._null_rows`` reads off one orientation are, with
+no gcd, the orthocomplement's form in the other orientation (matroid duality,
 see the README design notes), so ortho makes no elimination. Join eliminates
 the stacked rows once, forward. Meet is the De Morgan dual ~(~a | ~b): it
 eliminates the rows of the two free orthocomplements once, in reverse column
@@ -37,8 +37,8 @@ from functools import lru_cache
 from .linalg import (
     RationalMatrix,
     _canonical,
-    _int_rows,
-    _lowest_terms,
+    _canonical_boxed,
+    _int_row,
     _null_rows,
     _rational_matrix,
     entry_from_json,
@@ -192,13 +192,15 @@ class Subspace:
 
     def ortho(self) -> "Subspace":
         """Orthogonal complement: all v with <b, v> = sum conj(b_i) v_i = 0,
-        the kernel of the entrywise conjugated echelon form. Its kernel rows
-        over ``den``, in lowest terms, are the complement's form in the other
-        orientation, so no elimination is made. Cached on self only."""
+        the kernel of the conjugated echelon form; cached on self only. Its
+        kernel rows over ``den`` are the complement's form in the other
+        orientation, with no elimination and no gcd: their parts are ``den``
+        and this form's free-column parts, whose gcd is 1, as this form is in
+        lowest terms with only ``den`` or 0 on its pivots (full space: den 1)."""
         if self._ortho is None:
             n, piv = self.ambient, self.piv
             conj = [[(a, -b) for a, b in row] for row in self.rows]
-            self._ortho = Subspace(n, *_lowest_terms(_null_rows(conj, self.den, piv, n), self.den),
+            self._ortho = Subspace(n, _null_rows(conj, self.den, piv, n), self.den,
                                    tuple(c for c in range(n) if c not in piv), not self.rev)
         return self._ortho
 
@@ -240,13 +242,9 @@ def _full_space(ambient: int) -> Subspace:
 
 
 def span(vectors, ambient: int) -> Subspace:
-    """Subspace spanned by the given vectors of C^ambient (empty -> zero)."""
-    rows = [list(v) for v in vectors]
-    for v in rows:
-        if len(v) != ambient:
-            raise ValueError(f"vector length {len(v)} does not match ambient {ambient}")
-    return Subspace(ambient, *_canonical(_int_rows(RationalMatrix.from_rows(rows, ambient)),
-                                         ambient))
+    """Subspace spanned by vectors of C^ambient (empty -> zero); entries are
+    int, Fraction or GaussianRational."""
+    return Subspace(ambient, *_canonical_boxed(vectors, ambient))
 
 
 def random_subspace_rng(rng: random.Random, ambient: int, dim: int,
@@ -278,14 +276,18 @@ def random_subspace(ambient: int, dim: int, seed: int,
 
 
 def subspace_to_json(p: Subspace) -> dict:
-    """{"ambient": n, "basis": [[4-int-string entry, ...], ...]}"""
+    """{"ambient": n, "basis": [[4-int-string entry, ...], ...]}, forward rows."""
+    f = p._forward()
     return {"ambient": p.ambient,
-            "basis": [[entry_to_json(z) for z in row] for row in p.basis.entries]}
+            "basis": [[entry_to_json(a, b, f.den) for a, b in row] for row in f.rows]}
 
 
 def subspace_from_json(obj) -> Subspace:
     if not isinstance(obj, dict) or "ambient" not in obj or "basis" not in obj:
         raise ValueError("subspace JSON must have 'ambient' and 'basis' keys")
     ambient = int_from_json(obj["ambient"], "ambient")
-    rows = [[entry_from_json(e) for e in row] for row in obj["basis"]]
-    return span(rows, ambient)
+    basis = obj["basis"]
+    if not isinstance(basis, list) or not all(isinstance(row, list) for row in basis):
+        raise ValueError("subspace basis must be a list of rows, each a list of entries")
+    rows = [_int_row([entry_from_json(e) for e in row], ambient) for row in basis]
+    return Subspace(ambient, *_canonical(rows, ambient))

@@ -59,3 +59,8 @@ def fraction_tl_to_json(x) -> dict:
             "coeff": {"num": fraction_coeffs_to_json(num), "den": fraction_coeffs_to_json(den)},
         })
     return {"n": x.n, "terms": terms}
+
+
+def fraction_entry_to_json(z) -> list:
+    """The former ``entry_to_json``: a GaussianRational's Fraction parts."""
+    return [str(z.re.numerator), str(z.re.denominator), str(z.im.numerator), str(z.im.denominator)]

@@ -1,8 +1,10 @@
 """CLI behavior: exit codes, JSON determinism, witness replay."""
 
+import collections
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -115,6 +117,36 @@ class TestEval:
         assert out == "" and "size cap" in err
         monkeypatch.setenv("QLAT_SIZE_CAP", "5")
         assert run(capsys, "eval", "~p", str(path))[0] == 0
+
+    def test_over_size_cap_refused_before_any_elimination(self, capsys, tmp_path, monkeypatch):
+        import qlat.subspace
+
+        # a random 40x40 basis, which the decoder would eliminate
+        rng = random.Random(4)
+        rows = [[[str(rng.randint(-3, 3)), "1", str(rng.randint(-3, 3)), "1"]
+                 for _ in range(40)] for _ in range(40)]
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"p": {"ambient": 40, "basis": rows}}))
+        monkeypatch.delenv("QLAT_SIZE_CAP", raising=False)
+        calls = []
+        exact = qlat.subspace._canonical
+        monkeypatch.setattr(qlat.subspace, "_canonical",
+                            lambda rows, n: calls.append(n) or exact(rows, n))
+        code, out, err = run(capsys, "eval", "p", str(path))
+        assert code == 2 and out == "" and calls == []
+        assert err == "error: dimension 40 exceeds the size cap 16\n"
+        code, out, err = run(capsys, "eval", "p", str(path), "--dim", "17")
+        assert code == 2 and calls == []
+        assert err == "error: dimension 17 exceeds the size cap 16\n"
+
+    @pytest.mark.parametrize("basis", [5, [5], {"a": 1}, "ab"],
+                             ids=["int", "list-of-int", "object", "string"])
+    def test_malformed_basis_exit_2(self, capsys, tmp_path, basis):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"p": {"ambient": 2, "basis": basis}}))
+        code, out, err = run(capsys, "eval", "p", str(path))
+        assert code == 2 and out == ""
+        assert err == "error: subspace basis must be a list of rows, each a list of entries\n"
 
 
 class TestCheckLaw:
@@ -372,24 +404,12 @@ class TestTl:
                                       "tl relations --n 5 --json"])
     def test_no_fraction_built(self, capsys, monkeypatch, argv):
         # coefficients stay integer pairs from construction to output
-        import fractions
         import qlat.templieb
 
         for cached in (qlat.templieb.jones_wenzl, qlat.templieb.chebyshev,
                        qlat.templieb._interned):
             cached.cache_clear()
-        built = []
-        plain = fractions.Fraction.__new__
-
-        def counted(cls, *args, **kwargs):
-            built.append(args)
-            return plain(cls, *args, **kwargs)
-
-        monkeypatch.setattr(fractions.Fraction, "__new__", staticmethod(counted))
-        code, out, _ = run(capsys, *argv.split())
-        monkeypatch.undo()
-        assert code == 0 and json.loads(out)
-        assert len(built) == 0
+        assert count_boxing(capsys, monkeypatch, argv.split()) == {}
 
     def test_relations_rejects_r(self, capsys):
         code, out, err = run(capsys, "tl", "relations", "--n", "3", "--r", "5")
@@ -415,6 +435,41 @@ class TestTl:
         assert code == 0
         report = json.loads(out)
         assert report["numeric"]["tr(e_i)"] == pytest.approx(0.5, abs=1e-9)
+
+
+def count_boxing(capsys, monkeypatch, argv) -> dict:
+    """Run one command; count the Fraction and GaussianRational values built."""
+    import fractions
+
+    from qlat.linalg import GaussianRational
+
+    built = collections.Counter()
+    plain_new, plain_init = fractions.Fraction.__new__, GaussianRational.__init__
+
+    def fraction(cls, *args, **kwargs):
+        built["Fraction"] += 1
+        return plain_new(cls, *args, **kwargs)
+
+    def gaussian(self, *args, **kwargs):
+        built["GaussianRational"] += 1
+        plain_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(fractions.Fraction, "__new__", staticmethod(fraction))
+    monkeypatch.setattr(GaussianRational, "__init__", gaussian)
+    code, out, _ = run(capsys, *argv)
+    monkeypatch.undo()
+    assert code == 0 and json.loads(out)
+    return dict(built)
+
+
+@pytest.mark.parametrize("argv", ["separate 4 8 --trials 16 --seed 5 --entry-bound 3 --json",
+                                  "separate 2 3 --trials 50 --seed 9 --entry-bound 3 --json",
+                                  "check-law modularity --dim 8 --trials 4 --seed 12 --json",
+                                  "eval p|(q&r) TRIPLE --json"])
+def test_lattice_commands_box_nothing(capsys, monkeypatch, triple_file, argv):
+    # subspaces enter and leave as integer rows; basis boxing is for printing
+    argv = [triple_file if a == "TRIPLE" else a for a in argv.split()]
+    assert count_boxing(capsys, monkeypatch, argv) == {}
 
 
 class TestEntryPoint:

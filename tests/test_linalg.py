@@ -19,6 +19,7 @@ from qlat.linalg import (
     MOD_P,
     GaussianRational,
     RationalMatrix,
+    _int_row,
     conj_transpose,
     entry_from_json,
     entry_to_json,
@@ -30,6 +31,8 @@ from qlat.linalg import (
     rref,
     vstack,
 )
+
+from helpers import fraction_entry_to_json
 
 
 def reference_rref(m: RationalMatrix):
@@ -85,9 +88,10 @@ class TestGaussianRational:
             GR_ONE / GR_ZERO
 
     def test_json_round_trip(self):
-        z = GaussianRational(Fraction(-3, 7), Fraction(2, 5))
-        assert entry_to_json(z) == ["-3", "7", "2", "5"]
-        assert entry_from_json(entry_to_json(z)) == z
+        # (-15 + 14i) / 35 = -3/7 + 2/5 i
+        assert entry_to_json(-15, 14, 35) == ["-3", "7", "2", "5"]
+        assert entry_from_json(entry_to_json(-15, 14, 35)) == (-3, 7, 2, 5)
+        assert entry_to_json(0, -4, 6) == ["0", "1", "-2", "3"]
 
     @pytest.mark.parametrize("item", [[0.5, 1, 0, 1], [True, 1, 0, 1], [1, 1, 0, 1.0],
                                       ["1.5", "1", "0", "1"], [" 1", "1", "0", "1"],
@@ -97,8 +101,17 @@ class TestGaussianRational:
             entry_from_json(item)
 
     def test_json_integers_and_signed_strings_accepted(self):
-        assert entry_from_json([-3, "7", "+2", 5]) == GaussianRational(Fraction(-3, 7),
-                                                                      Fraction(2, 5))
+        assert entry_from_json([-3, "7", "+2", 5]) == (-3, 7, 2, 5)
+
+    def test_unreduced_and_negative_denominators_keep_their_value(self):
+        # 2/-4 + 3/6 i = (-1 + i) / 2, scaled by lcm(4, 6) = 12
+        assert _int_row([entry_from_json(["2", "-4", "3", "6"]), (1, 1, 0, 1)], 2) == [
+            (-6, 6), (12, 0)]
+
+    @given(st.integers(-60, 60), st.integers(-60, 60), st.integers(1, 60))
+    def test_entry_to_json_matches_fraction_writer(self, a, b, den):
+        z = GaussianRational(Fraction(a, den), Fraction(b, den))
+        assert entry_to_json(a, b, den) == fraction_entry_to_json(z)
 
     def test_zero_denominator_rejected(self):
         with pytest.raises(ValueError):

@@ -13,7 +13,7 @@ from pathlib import Path
 from qlat import formula
 from qlat.formula import Assignment, Var, alpha_levels, evaluate_with_cache, free_vars
 from qlat.ratfunc import RF_D, RF_ONE
-from qlat.search import falsify
+from qlat.search import certificate_to_json, falsify, separate_dims, verdict_from_json
 from qlat.subspace import Subspace, random_subspace
 from qlat.templieb import jones_wenzl
 
@@ -102,3 +102,23 @@ def test_restrict_makes_one_to_nnf_span():
         tracer.uninstall()
     calls, _ = tracer.self_times()
     assert calls["formula.restrict"] == 1 and calls["formula.to_nnf"] == 1
+
+
+def test_wire_codec_goes_through_wrapped_names():
+    # subspace JSON is read and written through the module-level entry codec
+    # and subspace codec names, so the linalg.entry_* and subspace.*_json
+    # spans see every certificate
+    cert = separate_dims(2, 3, holds_trials=5)
+    for mod_name, _, _ in _targets():
+        importlib.import_module(mod_name)
+    tracer = _spans()["Tracer"]()
+    tracer.install()
+    try:
+        blob = certificate_to_json(cert)
+        verdict_from_json(blob["fails_witness"])
+    finally:
+        tracer.uninstall()
+    calls, _ = tracer.self_times()
+    for name in ("linalg.entry_to_json", "linalg.entry_from_json", "subspace.to_json",
+                 "subspace.from_json"):
+        assert calls[name] > 0, name

@@ -14,8 +14,8 @@ from qlat.linalg import (
     MOD_P,
     GaussianRational,
     RationalMatrix,
+    _lowest_terms,
     conj_entries,
-    entry_to_json,
     kernel,
     rank_mod_p,
     row_space,
@@ -29,6 +29,8 @@ from qlat.subspace import (
     subspace_from_json,
     subspace_to_json,
 )
+
+from helpers import fraction_entry_to_json
 
 X_AXIS = span([[1, 0]], 2)
 Y_AXIS = span([[0, 1]], 2)
@@ -239,6 +241,49 @@ class TestJson:
             subspace_from_json({"ambient": 2})
         with pytest.raises(ValueError):
             subspace_from_json({"ambient": 2, "basis": [[["1", "1", "0"]]]})
+        for basis in (5, [5], {"a": 1}, "ab", [(1, 0)]):
+            with pytest.raises(ValueError, match="basis must be a list of rows"):
+                subspace_from_json({"ambient": 2, "basis": basis})
+
+    def test_format_with_denominators(self):
+        x = span([[1, GaussianRational(Fraction(1, 2), Fraction(-1, 3))]], 2)
+        assert x.den == 6
+        assert subspace_to_json(x)["basis"] == [[["1", "1", "0", "1"], ["1", "2", "-1", "3"]]]
+        assert subspace_to_json(~x) == _oracle_json(2, (~x).basis)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
+    def test_writer_matches_boxed_writer(self, n, seed):
+        # inputs with denominators, so forms over den > 1, in both orientations
+        rng = random.Random(seed)
+
+        def entry():
+            roll = rng.random()
+            if roll < 0.3:
+                return 0
+            if roll < 0.5:
+                return rng.randint(-3, 3)
+            return GaussianRational(Fraction(rng.randint(-4, 4), rng.randint(1, 4)),
+                                    Fraction(rng.randint(-4, 4), rng.randint(1, 4)))
+
+        x, y = (span([[entry() for _ in range(n)] for _ in range(rng.randint(0, n))], n)
+                for _ in range(2))
+        values = [x, ~x, ~~x, x & y, ~(x & y), x | ~y, Subspace.zero(n), Subspace.full(n)]
+        for v in values:
+            blob = subspace_to_json(v)
+            assert blob == _oracle_json(n, v.basis)
+            assert subspace_from_json(blob) == v
+        assert (~x).rev == (0 < x.dim < n) and not (~~x).rev
+
+    @pytest.mark.parametrize("entry", [["2", "-4", "3", "6"], ["-6", "-9", "0", "-5"],
+                                       [4, 2, "-8", "-12"], ["0", "-7", "5", "5"]])
+    def test_decoder_matches_boxed_decode(self, entry):
+        # unreduced parts and negative denominators keep their value
+        rows = [[entry, ["1", "1", "0", "1"], ["0", "1", "0", "1"]],
+                [["0", "1", "0", "1"], entry, ["3", "-2", "1", "4"]]]
+        boxed = span([[GaussianRational(Fraction(int(a), int(b)), Fraction(int(c), int(d)))
+                       for a, b, c, d in row] for row in rows], 3)
+        assert subspace_from_json({"ambient": 3, "basis": rows}) == boxed
 
     @pytest.mark.parametrize("ambient", [2.9, 2.0, True, "2.0", None])
     def test_ambient_must_be_an_integer(self, ambient):
@@ -275,7 +320,8 @@ def _oracle_meet(a, b):
 
 
 def _oracle_json(ambient, m):
-    return {"ambient": ambient, "basis": [[entry_to_json(z) for z in row] for row in m.entries]}
+    return {"ambient": ambient,
+            "basis": [[fraction_entry_to_json(z) for z in row] for row in m.entries]}
 
 
 class TestIntegerKernelOracle:
@@ -430,6 +476,21 @@ class TestTwoOrientations:
             assert o.rev == (0 < a.dim < n)
             oo = ~o
             assert (oo.rev, oo.rows, oo.den, oo.piv) == (False, a.rows, a.den, a.piv)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(1, 12), st.integers(1, 5), st.integers(0, 2 ** 32 - 1))
+    def test_ortho_is_in_lowest_terms(self, n, bound, seed):
+        # ortho reduces nothing: its kernel rows over den are already in
+        # lowest terms, with the gcd of the kept _lowest_terms as the oracle
+        rng = random.Random(seed)
+        a, b = _overlapping_pair(rng, n, bound)
+        full = span([[int(i == j) for j in range(n)] for i in range(n)], n)
+        assert full is not Subspace.full(n)
+        for x in (a, ~a, a & b, ~(a | b), full, span([], n), Subspace.zero(n),
+                  Subspace.full(n)):
+            o = ~x
+            assert o.rev == (0 < x.dim < n and not x.rev)
+            assert _lowest_terms(o.rows, o.den) == (o.rows, o.den)
 
     def test_uncertified_meet_eliminates_once(self, eliminations):
         a = random_subspace(12, 7, seed=8)
