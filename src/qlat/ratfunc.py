@@ -7,14 +7,16 @@ form is canonical, so equality is a tuple comparison, and all arithmetic runs
 on machine/big integers with a primitive-PRS gcd, which keeps the symbolic
 identity checks of the diagram algebra fast.
 
-That integer pair is the only form; output reads ``inum`` and ``iden``
-directly, and ``coeffs_to_json`` writes them over the leading denominator
-coefficient with one integer gcd per entry.
+That integer pair is the only form, in and out. ``RationalFunction(num,
+den)`` is the one constructor: it takes integer coefficient sequences, lowest
+degree first, and reduces them; ``RF_D ** k`` is the power d^k, and an int
+operand coerces to a constant, which equals and hashes like that int. Output
+reads ``inum`` and ``iden`` directly, and ``coeffs_to_json`` writes them over
+the leading denominator coefficient with one integer gcd per entry.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 IntCoeffs = tuple[int, ...]
@@ -23,7 +25,7 @@ P_ZERO: IntCoeffs = ()
 P_ONE: IntCoeffs = (1,)
 
 
-def _trim(cs) -> tuple:
+def ip_trim(cs) -> IntCoeffs:
     n = len(cs)
     while n and not cs[n - 1]:
         n -= 1
@@ -36,7 +38,7 @@ def ip_add(a: IntCoeffs, b: IntCoeffs) -> IntCoeffs:
     out = list(a)
     for i, c in enumerate(b):
         out[i] += c
-    return _trim(out)
+    return ip_trim(out)
 
 
 def ip_neg(a: IntCoeffs) -> IntCoeffs:
@@ -55,7 +57,7 @@ def ip_mul(a: IntCoeffs, b: IntCoeffs) -> IntCoeffs:
         if ca:
             for j, cb in enumerate(b):
                 out[i + j] += ca * cb
-    return _trim(out)
+    return ip_trim(out)
 
 
 def ip_content(a: IntCoeffs) -> int:
@@ -119,7 +121,7 @@ def ip_divexact(a: IntCoeffs, b: IntCoeffs) -> IntCoeffs:
                 r[k + i] -= c * cb
     if any(r):
         raise ArithmeticError("polynomial division not exact")
-    return _trim(q)
+    return ip_trim(q)
 
 
 def ip_eval(cs: IntCoeffs, x):
@@ -149,72 +151,29 @@ def p_to_str(cs, var: str = "d") -> str:
     return " ".join(parts)
 
 
-def _to_int_pair(values) -> tuple[IntCoeffs, int]:
-    """Coefficient list with int or Fraction entries -> (int poly, denominator)."""
-    fracs = [Fraction(v) for v in values]
-    den = 1
-    for f in fracs:
-        den = den * f.denominator // gcd(den, f.denominator)
-    return _trim([f.numerator * (den // f.denominator) for f in fracs]), den
-
-
 class RationalFunction:
-    """A quotient of polynomials, canonically reduced."""
+    """A quotient of integer polynomials, canonically reduced."""
 
     __slots__ = ("inum", "iden")
 
     def __init__(self, num=P_ZERO, den=P_ONE):
-        if isinstance(num, (int, Fraction)):
-            num = (num,)
-        if isinstance(den, (int, Fraction)):
-            den = (den,)
-        n_poly, n_den = _to_int_pair(num)
-        d_poly, d_den = _to_int_pair(den)
-        # num/n_den over den/d_den  ==  (num * d_den) / (den * n_den)
-        self.inum, self.iden = _reduce(
-            tuple(c * d_den for c in n_poly),
-            tuple(c * n_den for c in d_poly))
-
-    @classmethod
-    def _raw(cls, inum: IntCoeffs, iden: IntCoeffs) -> "RationalFunction":
-        out = object.__new__(cls)
-        out.inum, out.iden = _reduce(inum, iden)
-        return out
-
-    @classmethod
-    def variable(cls) -> "RationalFunction":
-        return cls._raw((0, 1), P_ONE)
-
-    @classmethod
-    def constant(cls, v) -> "RationalFunction":
-        if isinstance(v, int):
-            return cls._raw((v,), P_ONE)
-        v = Fraction(v)
-        return cls._raw((v.numerator,), (v.denominator,))
-
-    @classmethod
-    def monomial(cls, k: int) -> "RationalFunction":
-        """The power d^k, with negative k giving 1/d^(-k)."""
-        if k >= 0:
-            return cls._raw((0,) * k + (1,), P_ONE)
-        return cls._raw(P_ONE, (0,) * (-k) + (1,))
+        num = ip_trim(num)
+        nums, self.iden = ip_reduce([num] if num else [], den)
+        self.inum = nums[0] if nums else P_ZERO
 
     @staticmethod
     def _coerce(x):
         if isinstance(x, RationalFunction):
             return x
         if isinstance(x, int):
-            return RationalFunction._raw((x,) if x else P_ZERO, P_ONE)
-        if isinstance(x, Fraction):
-            return RationalFunction._raw(
-                (x.numerator,) if x else P_ZERO, (x.denominator,))
+            return RationalFunction((x,))
         return None
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return RationalFunction._raw(
+        return RationalFunction(
             ip_add(ip_mul(self.inum, o.iden), ip_mul(o.inum, self.iden)),
             ip_mul(self.iden, o.iden))
 
@@ -224,7 +183,7 @@ class RationalFunction:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return RationalFunction._raw(
+        return RationalFunction(
             ip_sub(ip_mul(self.inum, o.iden), ip_mul(o.inum, self.iden)),
             ip_mul(self.iden, o.iden))
 
@@ -238,7 +197,7 @@ class RationalFunction:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return RationalFunction._raw(ip_mul(self.inum, o.inum), ip_mul(self.iden, o.iden))
+        return RationalFunction(ip_mul(self.inum, o.inum), ip_mul(self.iden, o.iden))
 
     __rmul__ = __mul__
 
@@ -248,7 +207,7 @@ class RationalFunction:
             return NotImplemented
         if not o.inum:
             raise ZeroDivisionError("division by the zero rational function")
-        return RationalFunction._raw(ip_mul(self.inum, o.iden), ip_mul(self.iden, o.inum))
+        return RationalFunction(ip_mul(self.inum, o.iden), ip_mul(self.iden, o.inum))
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -269,7 +228,7 @@ class RationalFunction:
         return out
 
     def __neg__(self):
-        return RationalFunction._raw(ip_neg(self.inum), self.iden)
+        return RationalFunction(ip_neg(self.inum), self.iden)
 
     def __bool__(self):
         return bool(self.inum)
@@ -281,10 +240,9 @@ class RationalFunction:
         return self.inum == o.inum and self.iden == o.iden
 
     def __hash__(self):
-        # A constant equals the int or Fraction of the same value, so it must
-        # hash like one.
-        if len(self.iden) == 1 and len(self.inum) <= 1:
-            return hash(Fraction(self.inum[0] if self.inum else 0, self.iden[0]))
+        # An integer constant equals its int, so it must hash like one.
+        if self.iden == P_ONE and len(self.inum) <= 1:
+            return hash(self.inum[0] if self.inum else 0)
         return hash((self.inum, self.iden))
 
     def evaluate(self, x):
@@ -306,10 +264,10 @@ def ip_reduce(nums: list, den: IntCoeffs) -> tuple[list, IntCoeffs]:
 
     Divides out the primitive gcd of ``den`` and every numerator, then their
     common integer content, and makes the leading coefficient of ``den``
-    positive. The result is unique for the fractions ``nums[k] / den``
+    positive. The result is unique for the quotients ``nums[k] / den``
     together, so equal families compare equal as tuples.
     """
-    den = _trim(den)
+    den = ip_trim(den)
     if not den:
         raise ZeroDivisionError("rational function with zero denominator")
     if not nums:
@@ -335,15 +293,9 @@ def ip_reduce(nums: list, den: IntCoeffs) -> tuple[list, IntCoeffs]:
     return nums, den
 
 
-def _reduce(num: IntCoeffs, den: IntCoeffs) -> tuple[IntCoeffs, IntCoeffs]:
-    num = _trim(num)
-    nums, den = ip_reduce([num] if num else [], den)
-    return (nums[0] if nums else P_ZERO), den
-
-
 RF_ZERO = RationalFunction()
 RF_ONE = RationalFunction((1,))
-RF_D = RationalFunction.variable()
+RF_D = RationalFunction((0, 1))
 
 
 def coeffs_to_json(cs: IntCoeffs, lead: int) -> list:

@@ -31,7 +31,6 @@ All operations are exact and pure; values are immutable and freely shareable.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from functools import lru_cache
 
 from .linalg import (
@@ -96,11 +95,6 @@ class Subspace:
     @property
     def dim(self) -> int:
         return len(self.rows)
-
-    @property
-    def normalized_dim(self) -> Fraction:
-        """dim / ambient, an exact rational in [0, 1]."""
-        return Fraction(self.dim, self.ambient)
 
     def is_zero(self) -> bool:
         return self.dim == 0

@@ -6,7 +6,8 @@ along the top (left to right). Algebra elements are linear combinations of
 diagrams with coefficients in the field of rational functions in the loop
 parameter d; multiplication stacks diagrams (x * y puts x above y) and each
 closed loop contributes a factor d. An element is held as integer-polynomial
-numerators over one common denominator, reduced once per operation, and each
+numerators over one common denominator, and ``TLElement(n, nums, den)``, the
+one constructor, takes that form and reduces it, once per operation. Each
 distinct composed diagram is built, and checked for planarity, once.
 
 The generators e_i carry coefficient 1/d on the cup-cap diagram U_i, so that
@@ -27,18 +28,16 @@ from functools import lru_cache
 from .ratfunc import (
     P_ONE,
     P_ZERO,
-    RF_D,
     RF_ONE,
     RF_ZERO,
     RationalFunction,
     coeffs_to_json,
     ip_add,
-    ip_divexact,
     ip_eval,
-    ip_gcd,
     ip_mul,
     ip_reduce,
     ip_sub,
+    ip_trim,
 )
 
 
@@ -231,37 +230,20 @@ def closure_loops(diagram: PlanarDiagram) -> int:
 
 class TLElement:
     """A linear combination of diagrams with rational-function coefficients:
-    nonzero numerators ``nums`` by diagram over ``den``, canonical by
-    ``ip_reduce``, so equality is a plain comparison; ``terms`` is the lazy
-    ``{diagram: RationalFunction}`` view."""
+    integer-polynomial numerators ``nums`` by diagram over one common
+    denominator ``den``, canonical by ``ip_reduce``, so equality is a plain
+    comparison; ``terms`` is the lazy ``{diagram: RationalFunction}`` view."""
 
     __slots__ = ("n", "nums", "den", "_terms")
 
-    def __init__(self, n: int, terms: dict):
-        coeffs = {}
-        for diag, coeff in terms.items():
-            if diag.n != n:
-                raise ValueError("all diagrams must share the strand count")
-            c = coeff if isinstance(coeff, RationalFunction) else RationalFunction.constant(coeff)
-            if c:
-                coeffs[diag] = c
-        den = P_ONE
-        for c in coeffs.values():
-            den = ip_mul(den, ip_divexact(c.iden, ip_gcd(den, c.iden)))
-        self._set(n, {d: ip_mul(c.inum, ip_divexact(den, c.iden)) for d, c in coeffs.items()},
-                  den)
-
-    def _set(self, n: int, nums: dict, den) -> "TLElement":
-        nums = {d: a for d, a in nums.items() if a}
+    def __init__(self, n: int, nums: dict, den=P_ONE):
+        if any(d.n != n for d in nums):
+            raise ValueError("all diagrams must share the strand count")
+        nums = {d: t for d, a in nums.items() if (t := ip_trim(a))}
         vals, self.den = ip_reduce(list(nums.values()), den)
         self.n = n
         self.nums = dict(zip(nums, vals))
         self._terms = None
-        return self
-
-    @classmethod
-    def _make(cls, n: int, nums: dict, den) -> "TLElement":
-        return object.__new__(cls)._set(n, nums, den)
 
     @classmethod
     def zero(cls, n: int) -> "TLElement":
@@ -269,16 +251,16 @@ class TLElement:
 
     @classmethod
     def identity(cls, n: int) -> "TLElement":
-        return cls(n, {PlanarDiagram.identity(n): RF_ONE})
+        return cls(n, {PlanarDiagram.identity(n): P_ONE})
 
     @classmethod
-    def from_diagram(cls, diag: PlanarDiagram, coeff=1) -> "TLElement":
-        return cls(diag.n, {diag: coeff})
+    def from_diagram(cls, diag: PlanarDiagram) -> "TLElement":
+        return cls(diag.n, {diag: P_ONE})
 
     @property
     def terms(self) -> dict:
         if self._terms is None:
-            self._terms = {d: RationalFunction._raw(a, self.den) for d, a in self.nums.items()}
+            self._terms = {d: RationalFunction(a, self.den) for d, a in self.nums.items()}
         return self._terms
 
     def is_zero(self) -> bool:
@@ -286,7 +268,7 @@ class TLElement:
 
     def coefficient(self, diag: PlanarDiagram) -> RationalFunction:
         a = self.nums.get(diag)
-        return RationalFunction._raw(a, self.den) if a else RF_ZERO
+        return RationalFunction(a, self.den) if a else RF_ZERO
 
     def identity_coefficient(self) -> RationalFunction:
         return self.coefficient(PlanarDiagram.identity(self.n))
@@ -305,7 +287,7 @@ class TLElement:
         out = {d: ip_mul(a, other.den) for d, a in self.nums.items()}
         for d, a in other.nums.items():
             out[d] = ip_add(out.get(d, P_ZERO), ip_mul(a, fy))
-        return TLElement._make(self.n, out, ip_mul(self.den, other.den))
+        return TLElement(self.n, out, ip_mul(self.den, other.den))
 
     def __add__(self, other):
         return self._combine(other, 1)
@@ -319,8 +301,8 @@ class TLElement:
     def __mul__(self, other):
         k = RationalFunction._coerce(other)
         if k is not None:
-            return TLElement._make(self.n, {d: ip_mul(a, k.inum) for d, a in self.nums.items()},
-                                   ip_mul(self.den, k.iden))
+            return TLElement(self.n, {d: ip_mul(a, k.inum) for d, a in self.nums.items()},
+                             ip_mul(self.den, k.iden))
         if not isinstance(other, TLElement):
             return NotImplemented
         if self.n != other.n:
@@ -344,11 +326,11 @@ class TLElement:
                     acc[j] += b
             for diag, acc in row.items():
                 out[diag] = ip_add(out.get(diag, P_ZERO), ip_mul(nx, acc))
-        return TLElement._make(self.n, out, ip_mul(self.den, other.den))
+        return TLElement(self.n, out, ip_mul(self.den, other.den))
 
     def adjoint(self) -> "TLElement":
         """Each diagram reflected, coefficients kept: (x y)* = y* x*, x** = x."""
-        return TLElement._make(self.n, {d.reflect(): a for d, a in self.nums.items()}, self.den)
+        return TLElement(self.n, {d.reflect(): a for d, a in self.nums.items()}, self.den)
 
     def __rmul__(self, other):
         # reached only for a non-element left operand; scalars commute
@@ -368,7 +350,7 @@ def diagram_generator(n: int, i: int) -> TLElement:
 
 def generator_e(n: int, i: int) -> TLElement:
     """The idempotent generator e_i = U_i / d."""
-    return TLElement(n, {PlanarDiagram.cup_cap(n, i): RF_ONE / RF_D})
+    return TLElement(n, {PlanarDiagram.cup_cap(n, i): P_ONE}, (0, 1))
 
 
 def include(x: TLElement) -> TLElement:
@@ -378,7 +360,7 @@ def include(x: TLElement) -> TLElement:
     for diag, a in x.nums.items():
         pairs = [tuple(p if p < n else p + 1 for p in pair) for pair in diag.pairing]
         out[_interned(n + 1, tuple(sorted(pairs + [(n, 2 * n + 1)])))] = a
-    return TLElement._make(n + 1, out, x.den)
+    return TLElement(n + 1, out, x.den)
 
 
 @dataclass(frozen=True)
@@ -396,7 +378,7 @@ class ChebyshevPoly:
         return ip_eval(self.coeffs, x)
 
     def as_rational_function(self) -> RationalFunction:
-        return RationalFunction._raw(self.coeffs, P_ONE)
+        return RationalFunction(self.coeffs)
 
 
 @lru_cache(maxsize=None)
@@ -451,7 +433,7 @@ def markov_trace(x: TLElement) -> RationalFunction:
     acc = P_ZERO
     for diag, a in x.nums.items():
         acc = ip_add(acc, (0,) * closure_loops(diag) + a)
-    return RationalFunction._raw(acc, (0,) * x.n + x.den)
+    return RationalFunction(acc, (0,) * x.n + x.den)
 
 
 def root_params(r: int) -> float:

@@ -1,5 +1,6 @@
-"""Shared test code: seeded random formulas and assignments, and the
-Fraction-based writers that the integer JSON writers are checked against."""
+"""Shared test code: seeded random formulas and assignments, the per-term
+``TLElement`` builder, and the Fraction-based writers that the integer JSON
+writers are checked against."""
 
 from __future__ import annotations
 
@@ -7,7 +8,9 @@ import random
 from fractions import Fraction
 
 from qlat.formula import And, Assignment, Formula, Not, ONE, Or, Var, ZERO
+from qlat.ratfunc import P_ONE, ip_divexact, ip_gcd, ip_mul
 from qlat.subspace import random_subspace_rng
+from qlat.templieb import TLElement
 
 
 def random_formula(rng: random.Random, names=("p", "q", "r"), depth: int = 5) -> Formula:
@@ -37,6 +40,16 @@ def random_assignment(rng: random.Random, names, ambient: int,
         dim = rng.randint(0, ambient)
         subs[name] = random_subspace_rng(rng, ambient, dim, entry_bound)
     return Assignment(subs, ambient)
+
+
+def tl_from_terms(n: int, terms: dict) -> TLElement:
+    """The former ``TLElement`` constructor: ``{diagram: RationalFunction}``
+    terms brought, one at a time, over the lcm of their denominators."""
+    den = P_ONE
+    for c in terms.values():
+        den = ip_mul(den, ip_divexact(c.iden, ip_gcd(den, c.iden)))
+    return TLElement(n, {d: ip_mul(c.inum, ip_divexact(den, c.iden)) for d, c in terms.items()},
+                     den)
 
 
 def fraction_coeffs_to_json(cs) -> list:

@@ -4,8 +4,10 @@ The row reducer in the package runs fraction-free on integer rows; the oracle
 here is an independent plain Gauss-Jordan over Fraction scalars.
 """
 
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -32,6 +34,7 @@ from qlat.linalg import (
     vstack,
 )
 
+import qlat
 from helpers import fraction_entry_to_json
 
 
@@ -293,3 +296,20 @@ class TestAdjointAndProducts:
     def test_kron_dims(self, a, b, c, d):
         m = kron(RationalMatrix.zeros(a, b), RationalMatrix.zeros(c, d))
         assert (m.rows, m.cols) == (a * c, b * d)
+
+
+def test_only_linalg_imports_fractions():
+    # linalg's boxed GaussianRational/RationalMatrix half is the one place a
+    # Fraction is built; every other module runs on integers
+    importers = set()
+    for path in Path(qlat.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m.split(".")[0] == "fractions" for m in modules):
+                importers.add(path.name)
+    assert importers == {"linalg.py"}

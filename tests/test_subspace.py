@@ -58,10 +58,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Subspace.zero(0)
 
-    def test_normalized_dim(self):
-        assert X_AXIS.normalized_dim == Fraction(1, 2)
-        assert Subspace.full(4).normalized_dim == 1
-
 
 class TestMeetJoinOrtho:
     def test_meet_axes(self):

@@ -3,13 +3,12 @@
 import json
 import math
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import fraction_tl_to_json
+from helpers import fraction_tl_to_json, tl_from_terms
 from qlat.ratfunc import RF_D, RF_ONE, RationalFunction, ip_reduce
 import qlat.templieb
 from qlat.templieb import (
@@ -158,7 +157,7 @@ ratfuncs = st.builds(
 def elements(draw, n):
     basis = enumerate_diagrams(n)
     terms = draw(st.dictionaries(st.sampled_from(basis), ratfuncs, max_size=4))
-    return TLElement(n, terms)
+    return tl_from_terms(n, terms)
 
 
 class TestCommonDenominatorOracle:
@@ -167,7 +166,7 @@ class TestCommonDenominatorOracle:
     @staticmethod
     def assert_same(elem, ref: dict):
         assert elem.terms == ref
-        other = TLElement(elem.n, ref)
+        other = tl_from_terms(elem.n, ref)
         assert elem == other
         assert elem.nums == other.nums and elem.den == other.den
         nums = list(elem.nums.values())
@@ -192,11 +191,32 @@ class TestCommonDenominatorOracle:
             assert a.nums == b.nums and a.den == b.den
 
     def test_plain_coefficients(self):
-        u = PlanarDiagram.cup_cap(3, 1)
-        x = TLElement(3, {u: Fraction(2, 6), PlanarDiagram.identity(3): 4})
+        u, one = PlanarDiagram.cup_cap(3, 1), PlanarDiagram.identity(3)
+        x = TLElement(3, {u: (2,), one: (24,)}, (6,))
         assert x.den == (3,)
-        assert x.nums == {u: (1,), PlanarDiagram.identity(3): (12,)}
-        assert x.terms == {u: Fraction(1, 3), PlanarDiagram.identity(3): 4}
+        assert x.nums == {u: (1,), one: (12,)}
+        assert x.terms == {u: RationalFunction((1,), (3,)), one: 4}
+        assert x == tl_from_terms(3, x.terms)
+
+
+class TestConstructor:
+    @settings(max_examples=100, deadline=None)
+    @given(st.data(), st.integers(1, 4))
+    def test_rebuilds_from_integer_form(self, data, n):
+        x = data.draw(elements(n))
+        y = TLElement(x.n, x.nums, x.den)
+        assert y == x
+        assert y.nums == x.nums and y.den == x.den
+
+    def test_reduces_untrimmed_and_zero_numerators(self):
+        u, one = PlanarDiagram.cup_cap(2, 1), PlanarDiagram.identity(2)
+        x = TLElement(2, {one: [0, 2, 0], u: (0,)}, [0, 0, 4, 0])
+        assert x.nums == {one: (1,)} and x.den == (0, 2)
+        assert x == TLElement.identity(2) * (RF_ONE / (RF_D * 2))
+
+    def test_rejects_strand_mismatch(self):
+        with pytest.raises(ValueError, match="strand count"):
+            TLElement(3, {PlanarDiagram.identity(2): (1,)})
 
 
 class TestRelations:
