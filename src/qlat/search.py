@@ -334,13 +334,13 @@ def audit_invariants(assignment, ambient_dim: int | None = None) -> dict:
     for i, v in enumerate(names):
         for w in names[i + 1:]:
             p, q = a[v], a[w]
-            mt, jn = p.meet(q), p.join(q)
-            record(f"de_morgan_and[{v},{w}]", mt.ortho() == p.ortho().join(q.ortho()))
+            mt, jn, ortho_jn = p.meet(q), p.join(q), p.ortho().join(q.ortho())
+            record(f"de_morgan_and[{v},{w}]", mt.ortho() == ortho_jn)
             record(f"de_morgan_or[{v},{w}]", jn.ortho() == p.ortho().meet(q.ortho()))
             record(f"valuation[{v},{w}]",
                    p.dim + q.dim == jn.dim + mt.dim,
                    f"dim {p.dim}+{q.dim} vs {jn.dim}+{mt.dim}")
-            gap = jn.meet(p.ortho().join(q.ortho()))
+            gap = jn.meet(ortho_jn)
             record(f"equality_lemma[{v},{w}]", (p == q) == (gap == bot),
                    f"gap dim {gap.dim}")
             record(f"order_inverting[{v},{w}]",

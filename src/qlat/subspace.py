@@ -14,7 +14,8 @@ see the README design notes), so ortho makes no elimination. Join eliminates
 the stacked rows once, forward. Meet is the De Morgan dual ~(~a | ~b): it
 eliminates the rows of the two free orthocomplements once, in reverse column
 order, and the ortho of that reverse form is the forward meet. leq reduces rows
-against either orientation without any elimination. basis, JSON, == and hash
+against either orientation; == across orientations is leq at equal dimension;
+tensor_embed places the operand's rows: none eliminates. hash, basis and JSON
 read the forward form, which a reverse value derives with one elimination.
 
 Before eliminating, join and meet try a certificate: the rank of the stacked
@@ -113,9 +114,7 @@ class Subspace:
         if not isinstance(other, Subspace):
             return NotImplemented
         if self.rev != other.rev:
-            if self.ambient != other.ambient or self.dim != other.dim:
-                return False
-            self, other = self._forward(), other._forward()
+            return self.ambient == other.ambient and self.dim == other.dim and self.leq(other)
         return (self.ambient, self.den, self.rows) == (other.ambient, other.den, other.rows)
 
     def __hash__(self):
@@ -124,11 +123,6 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of C^{self.ambient}, basis {self.basis!r})"
-
-    def equals(self, other: "Subspace") -> bool:
-        """Canonical-basis comparison; raises on ambient mismatch."""
-        self._check_ambient(other)
-        return self == other
 
     def leq(self, other: "Subspace") -> bool:
         """Containment self <= other: each row of self reduces to zero against
@@ -207,20 +201,24 @@ class Subspace:
 
         side="right" sends a basis row b to {b kron e_j}; side="left" to
         {e_j kron b}. Both multiply dim by factor_dim and commute with meet,
-        join and ortho.
-        """
+        join and ortho. The placed rows over ``den``, in this orientation, are
+        the image's canonical form: each keeps ``den`` on its own pivot and 0
+        on every other; its nonzero parts are this form's, so it stays in
+        lowest terms; for fixed j, c -> c*f + j (right) or j*n + c (left)
+        increases, so first (last) nonzero columns stay first (last)."""
         if factor_dim < 1:
             raise ValueError("factor dimension must be at least 1")
         if side not in ("left", "right"):
             raise ValueError(f"side must be 'left' or 'right', got {side!r}")
         n, f = self.ambient, factor_dim
+        placed = sorted((c * f + j if side == "right" else j * n + c, j, row)
+                        for row, c in zip(self.rows, self.piv) for j in range(f))
         rows = []
-        for row in self.rows:
-            for j in range(f):
-                v = [(0, 0)] * (n * f)
-                v[slice(j, None, f) if side == "right" else slice(j * n, (j + 1) * n)] = row
-                rows.append(v)
-        return Subspace(n * f, *_canonical(rows, n * f))
+        for _, j, row in placed:
+            v = [(0, 0)] * (n * f)
+            v[slice(j, None, f) if side == "right" else slice(j * n, (j + 1) * n)] = row
+            rows.append(tuple(v))
+        return Subspace(n * f, tuple(rows), self.den, tuple(c for c, _, _ in placed), self.rev)
 
 
 @lru_cache(maxsize=None)

@@ -1,7 +1,9 @@
 """Lattice operations on subspaces: meet, join, ortho, embedding, sampling."""
 
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from qlat.linalg import (
     MOD_P,
     GaussianRational,
     RationalMatrix,
+    _canonical,
     _lowest_terms,
     conj_entries,
     kernel,
@@ -81,7 +84,7 @@ class TestMeetJoinOrtho:
     def test_ortho_complex_line(self):
         # <(1, i), (i, 1)> = conj(1)*i + conj(i)*1 = i - i = 0
         p = span([[1, GR_I]], 2)
-        assert p.ortho().equals(span([[GR_I, 1]], 2))
+        assert p.ortho() == span([[GR_I, 1]], 2)
 
     def test_ambient_mismatch_raises(self):
         p3 = span([[1, 0, 0]], 3)
@@ -90,9 +93,8 @@ class TestMeetJoinOrtho:
         with pytest.raises(ValueError):
             X_AXIS.join(p3)
         with pytest.raises(ValueError):
-            X_AXIS.equals(p3)
-        with pytest.raises(ValueError):
             X_AXIS.leq(p3)
+        assert X_AXIS != p3
 
     def test_leq(self):
         assert Subspace.zero(2).leq(X_AXIS)
@@ -315,6 +317,34 @@ def _oracle_meet(a, b):
     return kernel(vstack(conj_entries(_oracle_ortho(a)), conj_entries(_oracle_ortho(b))))
 
 
+def _oracle_eq(x, y):
+    """The former ``==``: across orientations, both values brought forward by
+    an elimination, then compared syntactically."""
+    if x.rev != y.rev:
+        if x.ambient != y.ambient or x.dim != y.dim:
+            return False
+        x, y = (Subspace(v.ambient, *_canonical([list(r) for r in v.rows], v.ambient))
+                for v in (x, y))
+    return (x.ambient, x.den, x.rows) == (y.ambient, y.den, y.rows)
+
+
+def _oracle_tensor_embed(x, f, side):
+    """The former ``tensor_embed``: every b kron e_j (or e_j kron b) stacked
+    and eliminated, in reverse column order for a reverse operand."""
+    n, m = x.ambient, x.ambient * f
+    rows = []
+    for row in x.rows:
+        for j in range(f):
+            v = [(0, 0)] * m
+            v[slice(j, None, f) if side == "right" else slice(j * n, (j + 1) * n)] = row
+            rows.append(v)
+    if not x.rev:
+        return Subspace(m, *_canonical(rows, m))
+    num, den, piv = _canonical([r[::-1] for r in rows], m)
+    return Subspace(m, tuple(r[::-1] for r in reversed(num)), den,
+                    tuple(m - 1 - c for c in reversed(piv)), True)
+
+
 def _oracle_json(ambient, m):
     return {"ambient": ambient,
             "basis": [[fraction_entry_to_json(z) for z in row] for row in m.entries]}
@@ -523,3 +553,66 @@ class TestTwoOrientations:
                 # a & b = ~(~a | ~b), from the oracle orthocomplements already built
                 meet = _oracle_ortho(_oracle_join(perp[i], perp[j]))
                 assert subspace_to_json(x & y) == _oracle_json(n, meet)
+
+
+class TestNoReElimination:
+    """== across orientations is containment at equal dimension and
+    tensor_embed places the operand's own rows: neither eliminates, and both
+    agree with the former eliminating versions."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 3), st.sampled_from(["right", "left"]),
+           st.integers(0, 2 ** 32 - 1))
+    def test_tensor_embed_matches_oracle(self, n, f, side, seed):
+        rng = random.Random(seed)
+        a, b = _overlapping_pair(rng, n, 2)
+        for x in (a, ~a, a & b, ~(a | b), Subspace.zero(n), Subspace.full(n)):
+            e, want = x.tensor_embed(f, side), _oracle_tensor_embed(x, f, side)
+            assert (e.ambient, e.rows, e.den, e.piv, e.rev) == (
+                want.ambient, want.rows, want.den, want.piv, want.rev)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 8), st.integers(1, 2), st.integers(0, 2 ** 32 - 1))
+    def test_equality_matches_oracle(self, n, bound, seed):
+        rng = random.Random(seed)
+        a, b = _overlapping_pair(rng, n, bound)
+        values = [a, b, ~a, ~b, ~~a, a & b, ~(a | b), a | ~b, span((~a).basis.entries, n),
+                  Subspace.zero(n), Subspace.full(n)]
+        for x in values:
+            for y in values:
+                assert (x == y) == _oracle_eq(x, y)
+
+    def test_eliminate_nothing(self, eliminations):
+        a = random_subspace(12, 5, seed=10)
+        o = ~a
+        b = span(o.basis.entries, 12)
+        d = random_subspace(12, 7, seed=11)
+        assert o.rev and not b.rev and not d.rev
+        eliminations.clear()
+        assert o == b and b == o
+        assert o != d and d != o
+        for x in (a, o, b):
+            for side in ("right", "left"):
+                x.tensor_embed(3, side)
+        assert o.tensor_embed(2) == b.tensor_embed(2)
+        assert eliminations == []
+
+
+def _referrers(name):
+    """The functions and methods of qlat whose bodies mention ``name``."""
+    found = set()
+    for path in Path(qlat.subspace.__file__).parent.glob("*.py"):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, ast.FunctionDef) and any(
+                    isinstance(node, ast.Attribute) and node.attr == name
+                    or isinstance(node, ast.Name) and node.id == name
+                    for node in ast.walk(fn)):
+                found.add(fn.name)
+    return found
+
+
+def test_forward_form_is_an_output_format():
+    # only output paths bring a reverse value forward; == and tensor_embed
+    # never eliminate
+    assert _referrers("_forward") == {"basis", "__hash__", "subspace_to_json"}
+    assert not {"__eq__", "tensor_embed"} & _referrers("_canonical")
