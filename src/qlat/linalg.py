@@ -345,8 +345,17 @@ def _canonical(rows: list[list[tuple[int, int]]], ncols: int):
 
     RREF = num / den with den the smallest positive integer making it integral,
     so the triple is unique per row space. Multiplying by the conjugate of the
-    final pivot p turns the divisor into |p|^2, which one gcd then reduces."""
-    piv, (p_re, p_im) = _ff_gauss_jordan(rows, ncols)
+    final pivot p turns the divisor into |p|^2, which one gcd then reduces.
+    One row needs no elimination: its final pivot is its own first nonzero
+    entry, so it takes the same steps directly (the zero row gives
+    ``((), 1, ())``)."""
+    if len(rows) == 1:
+        pc = next((c for c, z in enumerate(rows[0]) if z != (0, 0)), None)
+        if pc is None:
+            return (), 1, ()
+        piv, (p_re, p_im) = (pc,), rows[0][pc]
+    else:
+        piv, (p_re, p_im) = _ff_gauss_jordan(rows, ncols)
     num = [[(a * p_re + b * p_im, b * p_re - a * p_im) for a, b in row]
            for row in rows[:len(piv)]]
     return (*_lowest_terms(num, p_re * p_re + p_im * p_im), tuple(piv))

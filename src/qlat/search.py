@@ -113,7 +113,7 @@ def _draw_assignment(eq_vars: Sequence[str], ambient: int, seed: int, trial: int
     rng = _trial_rng(seed, trial)
     subs = {}
     for name in eq_vars:
-        d = rng.randint(0, ambient)
+        d = rng.randrange(ambient + 1)  # the bits and value of randint(0, ambient)
         subs[name] = random_subspace_rng(rng, ambient, d, entry_bound)
     return Assignment(subs, ambient)
 
@@ -127,7 +127,9 @@ def falsify(eq, ambient_dim: int, trials: int = DEFAULT_TRIALS, seed: int = 0, *
     are drawn uniformly over 0..ambient and entries are Gaussian integers
     with real and imaginary parts in -entry_bound..entry_bound.
     Deterministic given (equation, ambient, trials, seed, entry_bound):
-    trial k always sees the same assignment.
+    trial k always sees the same assignment. A dimension-0 draw is the
+    shared zero and a dimension-ambient draw, unless its rows lose rank mod
+    p, the shared full space: neither costs an elimination.
 
     ``audit(assignment, lhs, rhs)`` runs after every trial; a hook that takes
     a ``nodes`` keyword also gets ``{id(node): value}`` for both sides, so it

@@ -25,7 +25,9 @@ proves the rows independent, so dim(a & b) = dim a + dim b - dim(a | b) = 0.
 Any other outcome falls through to the exact path, so a certificate is never
 wrong, only sometimes unused. The full space and the zero are one shared pair
 of values per ambient, each the other's ortho; any other value caches its ortho
-without a link back, so values hold no reference cycle.
+without a link back, so values hold no reference cycle. A random draw whose
+form is known skips elimination: dimension 0 is the shared zero, and
+dimension n with mod-p rank n is the shared full space.
 All operations are exact and pure; values are immutable and freely shareable.
 """
 
@@ -244,16 +246,25 @@ def random_subspace_rng(rng: random.Random, ambient: int, dim: int,
     """Draw a subspace of exact dimension ``dim`` using the caller's RNG.
 
     Entries are Gaussian integers with |re|, |im| <= entry_bound;
-    dimension-deficient draws are rejected and redrawn (capped).
+    dimension-deficient draws are rejected and redrawn (capped). A
+    dimension-0 draw is the shared zero, with no RNG call; a dimension-n draw
+    whose rows have mod-p rank n is the shared full space. Neither eliminates,
+    and any other draw takes the exact path, so the RNG stream and every
+    returned value are those of eliminating every draw.
     """
     if not 0 <= dim <= ambient:
         raise ValueError(f"requested dimension {dim} not in [0, {ambient}]")
     if entry_bound < 1:
         raise ValueError("entry bound must be at least 1")
-    b = entry_bound
+    if dim == 0:
+        return Subspace.zero(ambient)
+    # randrange(w) - b draws the same bits and values as randint(-b, b).
+    b, w = entry_bound, 2 * entry_bound + 1
     for _ in range(REDRAW_CAP):
-        rows = [[(rng.randint(-b, b), rng.randint(-b, b)) for _ in range(ambient)]
+        rows = [[(rng.randrange(w) - b, rng.randrange(w) - b) for _ in range(ambient)]
                 for _ in range(dim)]
+        if dim == ambient and rank_mod_p(rows, ambient) == ambient:
+            return Subspace.full(ambient)
         s = Subspace(ambient, *_canonical(rows, ambient))
         if s.dim == dim:
             return s

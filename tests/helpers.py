@@ -1,6 +1,7 @@
 """Shared test code: seeded random formulas and assignments, the per-term
-``TLElement`` builder, and the Fraction-based writers that the integer JSON
-writers are checked against."""
+``TLElement`` builder, the Fraction-based writers that the integer JSON
+writers are checked against, and the former draw path that eliminates every
+draw, which the draw path is checked against."""
 
 from __future__ import annotations
 
@@ -8,8 +9,10 @@ import random
 from fractions import Fraction
 
 from qlat.formula import And, Assignment, Formula, Not, ONE, Or, Var, ZERO
+from qlat.linalg import _ff_gauss_jordan, _lowest_terms
 from qlat.ratfunc import P_ONE, ip_divexact, ip_gcd, ip_mul
-from qlat.subspace import random_subspace_rng
+from qlat.search import _trial_rng
+from qlat.subspace import REDRAW_CAP, Subspace, random_subspace_rng
 from qlat.templieb import TLElement
 
 
@@ -77,3 +80,37 @@ def fraction_tl_to_json(x) -> dict:
 def fraction_entry_to_json(z) -> list:
     """The former ``entry_to_json``: a GaussianRational's Fraction parts."""
     return [str(z.re.numerator), str(z.re.denominator), str(z.im.numerator), str(z.im.denominator)]
+
+
+def gauss_jordan_canonical(rows, ncols: int):
+    """The former ``_canonical``: every input, one row included, through
+    ``_ff_gauss_jordan``, then times the conjugate of the final pivot."""
+    piv, (p_re, p_im) = _ff_gauss_jordan(rows, ncols)
+    num = [[(a * p_re + b * p_im, b * p_re - a * p_im) for a, b in row]
+           for row in rows[:len(piv)]]
+    return (*_lowest_terms(num, p_re * p_re + p_im * p_im), tuple(piv))
+
+
+def oracle_random_subspace_rng(rng: random.Random, ambient: int, dim: int,
+                               entry_bound: int = 3) -> Subspace:
+    """The former ``random_subspace_rng``: entries through ``randint`` and
+    every draw, of dimension 0 and ambient too, eliminated."""
+    b = entry_bound
+    for _ in range(REDRAW_CAP):
+        rows = [[(rng.randint(-b, b), rng.randint(-b, b)) for _ in range(ambient)]
+                for _ in range(dim)]
+        s = Subspace(ambient, *gauss_jordan_canonical(rows, ambient))
+        if s.dim == dim:
+            return s
+    raise RuntimeError("redraw cap reached")
+
+
+def oracle_draw_assignment(eq_vars, ambient: int, seed: int, trial: int,
+                           entry_bound: int) -> Assignment:
+    """The former ``search._draw_assignment``: dimensions through ``randint``."""
+    rng = _trial_rng(seed, trial)
+    subs = {}
+    for name in eq_vars:
+        d = rng.randint(0, ambient)
+        subs[name] = oracle_random_subspace_rng(rng, ambient, d, entry_bound)
+    return Assignment(subs, ambient)

@@ -10,7 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qlat.linalg import (
@@ -21,6 +21,7 @@ from qlat.linalg import (
     MOD_P,
     GaussianRational,
     RationalMatrix,
+    _canonical,
     _int_row,
     conj_transpose,
     entry_from_json,
@@ -35,7 +36,7 @@ from qlat.linalg import (
 )
 
 import qlat
-from helpers import fraction_entry_to_json
+from helpers import fraction_entry_to_json, gauss_jordan_canonical
 
 
 def reference_rref(m: RationalMatrix):
@@ -181,6 +182,32 @@ class TestRref:
         for _ in range(60):
             m = random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
             assert rref(m)[1] == rref(conj_transpose(m))[1]
+
+
+_PART = st.one_of(st.integers(-3, 3), st.integers(-2 ** 80, 2 ** 80))
+_ENTRY = st.one_of(st.just((0, 0)), st.tuples(_PART, _PART))
+
+
+class TestOneRowCanonical:
+    """One row's form is built directly, with no elimination, and equals the
+    Gauss-Jordan path."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 5), st.lists(_ENTRY, min_size=0, max_size=8))
+    @example(0, [(0, 0)])
+    @example(3, [])
+    @example(1, [(-2 ** 80, 2 ** 80), (6, -4)])
+    def test_matches_gauss_jordan(self, lead, tail):
+        row = [(0, 0)] * lead + tail or [(0, 0)]
+        want = gauss_jordan_canonical([list(row)], len(row))
+        eliminations = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(qlat.linalg, "_ff_gauss_jordan", lambda *a: eliminations.append(a))
+            assert _canonical([list(row)], len(row)) == want
+        assert eliminations == []
+
+    def test_zero_row(self):
+        assert _canonical([[(0, 0)] * 4], 4) == ((), 1, ())
 
 
 class TestRankModP:

@@ -1,9 +1,12 @@
 """Falsification search, structured witnesses, separation certificates."""
 
+import hashlib
 import itertools
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qlat.formula import (
     Assignment,
@@ -19,6 +22,7 @@ from qlat.formula import (
 )
 from qlat.search import (
     COUNTEREXAMPLE,
+    _draw_assignment,
     NO_COUNTEREXAMPLE,
     SeparationCertificate,
     Verdict,
@@ -35,7 +39,9 @@ from qlat.search import (
     verdict_to_json,
 )
 from qlat.linalg import GR_ONE, GR_ZERO
-from qlat.subspace import Subspace, span
+from qlat.subspace import Subspace, span, subspace_to_json
+
+from helpers import oracle_draw_assignment
 
 
 def _chained_witness(n):
@@ -57,6 +63,44 @@ def _chained_witness(n):
 
 def _last_coordinates(count, high):
     return span([[int(j == i) for j in range(high)] for i in range(high - count, high)], high)
+
+
+def _assignment_fields(a):
+    return {name: (s.ambient, s.rows, s.den, s.piv, s.rev) for name, s in a.items()}
+
+
+# sha256 of the forward JSON of every subspace that _draw_assignment gives p, q
+# and r in C^n for n in (1, 2, 4, 8, 16), seeds 0..2, trials 0..9, entry bound
+# 3, taken when every draw was still eliminated; any drift in the draw path
+# changes it.
+GOLDEN_DRAW_STREAM = "175b7e7d565d54da1c70791f0fec43e7d64520da6b109e528353e75fa9f8446a"
+
+
+class TestDrawAssignment:
+    """Trial assignments are the former draw path's, field for field."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 8), st.integers(0, 2 ** 31), st.integers(0, 50), st.integers(1, 4))
+    def test_matches_oracle(self, n, seed, trial, bound):
+        names = ("p", "q", "r", "s")
+        assert _assignment_fields(_draw_assignment(names, n, seed, trial, bound)) == (
+            _assignment_fields(oracle_draw_assignment(names, n, seed, trial, bound)))
+
+    def test_matches_oracle_at_16(self):
+        for trial in range(4):
+            args = (("p", "q", "r"), 16, 7, trial, 3)
+            assert _assignment_fields(_draw_assignment(*args)) == (
+                _assignment_fields(oracle_draw_assignment(*args)))
+
+    def test_golden_draw_stream(self):
+        h = hashlib.sha256()
+        for n in (1, 2, 4, 8, 16):
+            for seed in range(3):
+                for t in range(10):
+                    a = _draw_assignment(("p", "q", "r"), n, seed, t, 3)
+                    for name in ("p", "q", "r"):
+                        h.update(json.dumps(subspace_to_json(a[name]), sort_keys=True).encode())
+        assert h.hexdigest() == GOLDEN_DRAW_STREAM
 
 
 class TestFalsify:

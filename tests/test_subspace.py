@@ -33,7 +33,7 @@ from qlat.subspace import (
     subspace_to_json,
 )
 
-from helpers import fraction_entry_to_json
+from helpers import fraction_entry_to_json, oracle_random_subspace_rng
 
 X_AXIS = span([[1, 0]], 2)
 Y_AXIS = span([[0, 1]], 2)
@@ -216,6 +216,53 @@ class TestRandomSubspace:
     def test_bad_dim(self):
         with pytest.raises(ValueError):
             random_subspace(3, 4, seed=0)
+
+
+def _fields(s):
+    return s.ambient, s.rows, s.den, s.piv, s.rev
+
+
+class TestKnownFormDraws:
+    """Dimension-0 and certified dimension-n draws skip elimination; every
+    draw still returns the former path's form and leaves the RNG in the same
+    state."""
+
+    @staticmethod
+    def _check_stream(ambient, dim, bound, seed):
+        rng, oracle = random.Random(seed), random.Random(seed)
+        got = random_subspace_rng(rng, ambient, dim, bound)
+        want = oracle_random_subspace_rng(oracle, ambient, dim, bound)
+        assert _fields(got) == _fields(want)
+        assert rng.getstate() == oracle.getstate()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 8).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))),
+           st.integers(1, 4), st.integers(0, 2 ** 32 - 1))
+    def test_stream_matches_oracle(self, ambient_dim, bound, seed):
+        self._check_stream(*ambient_dim, bound, seed)
+
+    @pytest.mark.parametrize("bound", [1, 2, 3, 4])
+    def test_stream_matches_oracle_at_16(self, bound):
+        for dim in range(17):
+            self._check_stream(16, dim, bound, seed=1000 * bound + dim)
+
+    def test_singular_full_draw_redraws_as_oracle(self):
+        # seed 5's first 2 x 2 draw at entry bound 1 is singular, so the
+        # certificate fails and the draw is eliminated and redrawn
+        rng = random.Random(5)
+        first = [[(rng.randint(-1, 1), rng.randint(-1, 1)) for _ in range(2)] for _ in range(2)]
+        assert rank_mod_p(first, 2) < 2 and len(_canonical(first, 2)[2]) < 2
+        self._check_stream(2, 2, 1, seed=5)
+        assert random_subspace(2, 2, seed=5, entry_bound=1).is_full()
+
+    def test_zero_and_full_draws_are_shared_and_eliminate_nothing(self, eliminations):
+        for n in (1, 2, 5, 16):
+            rng = random.Random(n)
+            zero, full = Subspace.zero(n), Subspace.full(n)
+            eliminations.clear()
+            assert random_subspace_rng(rng, n, 0) is zero
+            assert random_subspace_rng(rng, n, n) is full
+            assert eliminations == []
 
 
 class TestJson:
