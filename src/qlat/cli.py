@@ -6,8 +6,11 @@ the human-readable mode renders the same data. Each subcommand declares only
 the flags it reads (``build_parser``), so any other flag is a usage error.
 Every input bound lives here; ``check_size_cap`` is the one dimension check,
 and the library routes the commands call are uncapped.
+``--json`` output is exactly ``json.dumps(report, indent=2, sort_keys=True)``,
+written by ``_encode`` in one pass (the stdlib's C encoder skips ``indent``).
 Exit codes: 0 for success or no counterexample, 1 for a found counterexample
-or a violated structural bound, 2 for usage and parse errors.
+or a violated structural bound, 2 for usage and parse errors, 141 (128 +
+SIGPIPE) when the reader closes stdout early.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import json
 import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .formula import (
@@ -59,6 +63,7 @@ from .templieb import (
 EXIT_OK = 0
 EXIT_FOUND = 1
 EXIT_USAGE = 2
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE: a shell's status for a closed-pipe kill
 
 DEFAULT_SIZE_CAP = 16
 # Above 32, certificates stop replaying from their JSON: the text of
@@ -93,9 +98,54 @@ def check_size_cap(dim: int) -> None:
 
 def emit(report: dict, args) -> None:
     if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(_encode(report))
     else:
         _render_human(report)
+
+
+def _float_json(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+_SCALAR_JSON = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float_json,
+    bool: lambda x: "true" if x else "false",
+    type(None): lambda x: "null",
+}
+
+
+def _encode(obj, newline: str = "\n") -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)``, for the types reports
+    hold: dicts with str keys, lists, tuples, str, int, float, bool, None.
+    ``newline`` is a line break plus the indent of ``obj``'s closing bracket."""
+    t = type(obj)
+    inner = newline + "  "
+    if t is dict:
+        if not obj:
+            return "{}"
+        # a non-str key fails to sort or to encode: TypeError either way
+        parts = [encode_basestring_ascii(k) + ": " + _encode(obj[k], inner)
+                 for k in sorted(obj)]
+        return "{" + inner + ("," + inner).join(parts) + newline + "}"
+    if t is list or t is tuple:
+        if not obj:
+            return "[]"
+        types = set(map(type, obj))
+        scalar = _SCALAR_JSON.get(types.pop()) if len(types) == 1 else None
+        parts = map(scalar, obj) if scalar else [_encode(x, inner) for x in obj]
+        return "[" + inner + ("," + inner).join(parts) + newline + "]"
+    scalar = _SCALAR_JSON.get(t)
+    if scalar is None:
+        raise TypeError(f"{t.__name__} is not JSON serializable")
+    return scalar(obj)
 
 
 def _render_human(report: dict, indent: str = "") -> None:
@@ -354,7 +404,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed the pipe; send the rest, and the flush at exit, to
+        # devnull (the Python docs' SIGPIPE recipe)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -52,7 +52,7 @@ class JonesWenzlError(RuntimeError):
 class PlanarDiagram:
     """A noncrossing perfect matching of the 2n boundary points."""
 
-    __slots__ = ("n", "pairing", "_partner")
+    __slots__ = ("n", "pairing", "_partner", "_hash")
 
     def __init__(self, n: int, pairs):
         if n < 0:
@@ -66,6 +66,7 @@ class PlanarDiagram:
         self.n = n
         self.pairing = norm
         self._partner = None
+        self._hash = hash((n, norm))
 
     def partners(self) -> list[int]:
         if self._partner is None:
@@ -95,7 +96,7 @@ class PlanarDiagram:
         return self.n == other.n and self.pairing == other.pairing
 
     def __hash__(self):
-        return hash((self.n, self.pairing))
+        return self._hash
 
     def __lt__(self, other):
         return (self.n, self.pairing) < (other.n, other.pairing)

@@ -1,10 +1,12 @@
 """Shared test code: seeded random formulas and assignments, the per-term
 ``TLElement`` builder, the Fraction-based writers that the integer JSON
-writers are checked against, and the former draw path that eliminates every
-draw, which the draw path is checked against."""
+writers are checked against, the former draw path that eliminates every
+draw, which the draw path is checked against, and the stdlib JSON call that
+``cli``'s encoder is checked against."""
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 
@@ -53,6 +55,11 @@ def tl_from_terms(n: int, terms: dict) -> TLElement:
         den = ip_mul(den, ip_divexact(c.iden, ip_gcd(den, c.iden)))
     return TLElement(n, {d: ip_mul(c.inum, ip_divexact(den, c.iden)) for d, c in terms.items()},
                      den)
+
+
+def json_oracle(obj) -> str:
+    """The stdlib text ``--json`` output must equal byte for byte."""
+    return json.dumps(obj, indent=2, sort_keys=True)
 
 
 def fraction_coeffs_to_json(cs) -> list:

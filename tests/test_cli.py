@@ -1,8 +1,10 @@
 """CLI behavior: exit codes, JSON determinism, witness replay."""
 
+import ast
 import collections
 import hashlib
 import json
+import math
 import os
 import random
 import subprocess
@@ -10,9 +12,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qlat
-from qlat.cli import build_parser, main
+from helpers import json_oracle
+from qlat.cli import _encode, build_parser, main
 from qlat.formula import evaluate_equation, m_distributive, parse, to_source
 from qlat.search import verdict_from_json
 from qlat.subspace import span, subspace_to_json
@@ -24,13 +29,17 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_module(*argv):
-    """``python -m qlat.cli`` in a child process that imports the same package
-    as this one."""
+def module_command(*argv):
+    """``python -m qlat.cli`` and an environment that imports the same package
+    as this process."""
     src = str(Path(qlat.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "qlat.cli", *argv],
-                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
+    return [sys.executable, "-m", "qlat.cli", *argv], dict(os.environ, PYTHONPATH=path)
+
+
+def run_module(*argv):
+    cmd, env = module_command(*argv)
+    return subprocess.run(cmd, capture_output=True, text=True, env=env)
 
 
 @pytest.fixture
@@ -494,6 +503,62 @@ class TestEntryPoint:
         assert proc.stdout == ""
         assert proc.stderr.count("\n") == 1 and "nested deeper than" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    # each prints over 100 KB, more than a pipe holds, so the write after the
+    # reader leaves always fails
+    @pytest.mark.parametrize("argv", ["tl jw --n 6 --json", "tl jw --n 7"])
+    def test_reader_closing_pipe_exit_141(self, argv):
+        cmd, env = module_command(*argv.split())
+        proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 141
+        assert b"Traceback" not in err and b"Exception ignored" not in err
+
+
+_TRICKY_TEXT = st.text(st.characters(codec="utf-8") | st.sampled_from(
+    '"\\\x00\x1f\x7f\u2028\u00e9\U0001f600[]{},: \n\t'), max_size=12)
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), _TRICKY_TEXT,
+    st.integers(), st.integers(min_value=-2 ** 200, max_value=2 ** 200),
+    st.floats(), st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 1e300, -1e300]),
+)
+# one-type lists take the encoder's single-join path
+_ONE_TYPE_LISTS = st.one_of(*(st.lists(s, max_size=4) for s in (
+    st.none(), st.booleans(), _TRICKY_TEXT, st.integers(), st.floats())))
+_JSON_TREES = st.recursive(
+    _SCALARS | _ONE_TYPE_LISTS,
+    lambda kids: (st.lists(kids, max_size=4) | st.tuples(kids, kids)
+                  | st.dictionaries(_TRICKY_TEXT, kids, max_size=4)),
+    max_leaves=25)
+
+
+class TestJsonEncoder:
+    @settings(max_examples=300, deadline=None)
+    @given(_JSON_TREES)
+    def test_matches_stdlib(self, obj):
+        assert _encode(obj) == json_oracle(obj)
+
+    @pytest.mark.parametrize("obj", [{1: "x"}, {"a": 1, 2: "b"}, {None: 0}, [object()],
+                                     {"a": [1, {"b": object()}]}, object(), b"bytes", {1, 2}])
+    def test_other_types_raise(self, obj):
+        with pytest.raises(TypeError):
+            _encode(obj)
+
+    def test_no_indented_stdlib_dump(self):
+        # every indented document goes through emit's encoder, the one home
+        # of the output rule
+        calls = []
+        for path in Path(qlat.__file__).parent.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+                if name in ("dump", "dumps") and any(k.arg == "indent" for k in node.keywords):
+                    calls.append(f"{path.name}:{node.lineno}")
+        assert calls == []
 
 
 # Each subcommand takes exactly the flags it reads; any other flag is a usage

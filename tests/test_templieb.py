@@ -67,6 +67,15 @@ class TestPlanarDiagram:
         assert len(diagrams) == catalan(n)
         assert len(set(diagrams)) == len(diagrams)
 
+    def test_interned_twin_equal_and_hash_equal(self):
+        for d in enumerate_diagrams(4):
+            twin = qlat.templieb._interned(d.n, d.pairing)
+            built = PlanarDiagram(d.n, reversed([p[::-1] for p in d.pairing]))
+            assert built is not twin
+            assert built == twin and hash(built) == hash(twin)
+            assert {twin: d}[built] is d
+        assert PlanarDiagram.identity(2) != PlanarDiagram.cup_cap(2, 1)
+
     def test_closure_loops(self):
         assert closure_loops(PlanarDiagram.identity(2)) == 2
         assert closure_loops(PlanarDiagram.cup_cap(2, 1)) == 1
