@@ -6,6 +6,12 @@ test formula, its iterates, the m-distributive law) share subformulas. Every
 walk memoizes on node identity, so it visits each distinct node once and maps
 a shared input node to one shared output node.
 
+Evaluation has one home, ``Plan``: the distinct nodes of one or more formulas
+in topological order, built by an explicit-stack walk, so no formula depth
+reaches the recursion limit. ``evaluate_with_cache`` builds and runs one per
+call; a search builds one for both sides of its equation and runs it at every
+trial (``run_equation``).
+
 Concrete syntax (whitespace insignificant; unicode aliases on input only):
 
     equation := formula (("=" | "<=") formula)?
@@ -423,40 +429,87 @@ def _coerce_assignment(assignment, ambient=None) -> Assignment:
     return Assignment(assignment, ambient)
 
 
-def evaluate_with_cache(f: Formula, assignment) -> tuple[Subspace, dict[int, Subspace]]:
-    """Evaluate and return the per-node value cache (keyed by node id).
+_VAR, _ZERO, _ONE, _NOT, _AND, _OR = range(6)
 
-    Structural recursion: & is meet, | is join, ~ is orthocomplement, 0 and 1
-    are the bottom and top subspaces. Shared nodes are evaluated once.
+
+class Plan:
+    """One evaluation plan: ``nodes``, the distinct nodes of the given
+    formulas in topological order, children first; ``steps``, per node its
+    connective and a variable's name or its children's plan positions; and
+    ``roots``, the plan positions of the given formulas.
+
+    An explicit-stack walk, left child before right, builds it, so its order
+    is that of a memoized recursive evaluation and no formula depth reaches
+    the recursion limit. It holds nodes, names and integers only, so it makes
+    no reference cycle. Build it once and ``run`` it at each assignment.
     """
-    cache: dict[int, Subspace] = {}
-    return _evaluate(f, _coerce_assignment(assignment), cache), cache
+
+    __slots__ = ("nodes", "steps", "roots")
+
+    def __init__(self, *roots: Formula):
+        pos: dict[int, int] = {}
+        nodes: list[Formula] = []
+        steps: list[tuple] = []
+        for root in roots:
+            stack = [root]
+            while stack:
+                n = stack[-1]
+                if id(n) in pos:
+                    stack.pop()
+                    continue
+                t = type(n)
+                kids = (n.left, n.right) if t is And or t is Or else (n.child,) if t is Not else ()
+                todo = [k for k in kids if id(k) not in pos]
+                if todo:
+                    stack.extend(reversed(todo))
+                    continue
+                stack.pop()
+                if t is Var:
+                    step = (_VAR, n.name, None)
+                elif t is Zero or t is One:
+                    step = (_ZERO if t is Zero else _ONE, None, None)
+                elif t is Not:
+                    step = (_NOT, pos[id(n.child)], None)
+                elif t is And or t is Or:
+                    step = (_AND if t is And else _OR, pos[id(n.left)], pos[id(n.right)])
+                else:
+                    raise TypeError(f"not a formula node: {t.__name__}")
+                pos[id(n)] = len(nodes)
+                nodes.append(n)
+                steps.append(step)
+        self.nodes, self.steps = nodes, steps
+        self.roots = tuple(pos[id(r)] for r in roots)
+
+    def run(self, assignment) -> list[Subspace]:
+        """The value of every node, in plan order: & is meet, | is join, ~ is
+        orthocomplement, 0 and 1 are the bottom and top subspaces."""
+        a = _coerce_assignment(assignment)
+        subs, n = a.subspaces, a.ambient
+        vals: list[Subspace] = []
+        put = vals.append
+        for op, x, y in self.steps:
+            if op == _AND:
+                put(vals[x].meet(vals[y]))
+            elif op == _OR:
+                put(vals[x].join(vals[y]))
+            elif op == _NOT:
+                put(vals[x].ortho())
+            elif op == _VAR:
+                try:
+                    put(subs[x])
+                except KeyError:
+                    raise UnboundVariableError(x) from None
+            else:
+                put(Subspace.zero(n) if op == _ZERO else Subspace.full(n))
+        return vals
 
 
-def _evaluate(n: Formula, a: Assignment, cache: dict[int, Subspace]) -> Subspace:
-    v = cache.get(id(n))
-    if v is not None:
-        return v
-    t = type(n)
-    if t is Var:
-        try:
-            v = a[n.name]
-        except KeyError:
-            raise UnboundVariableError(n.name) from None
-    elif t is And:
-        v = _evaluate(n.left, a, cache).meet(_evaluate(n.right, a, cache))
-    elif t is Or:
-        v = _evaluate(n.left, a, cache).join(_evaluate(n.right, a, cache))
-    elif t is Not:
-        v = _evaluate(n.child, a, cache).ortho()
-    elif t is Zero:
-        v = Subspace.zero(a.ambient)
-    elif t is One:
-        v = Subspace.full(a.ambient)
-    else:
-        raise TypeError(f"not a formula node: {type(n).__name__}")
-    cache[id(n)] = v
-    return v
+def evaluate_with_cache(f: Formula, assignment) -> tuple[Subspace, dict[int, Subspace]]:
+    """Evaluate by one ``Plan`` and return the per-node value cache (keyed by
+    node id). Shared nodes are evaluated once."""
+    plan = Plan(f)
+    vals = plan.run(assignment)
+    return vals[-1], dict(zip(map(id, plan.nodes), vals))
 
 
 def evaluate(f: Formula, assignment) -> Subspace:
@@ -476,9 +529,20 @@ def evaluate_equation(eq: Equation, assignment,
     if nodes is not None:
         nodes.update(lcache)
         nodes.update(rcache)
-    if eq.relation == "=":
-        return lv == rv, lv, rv
-    return lv.leq(rv), lv, rv
+    return _holds(eq, lv, rv), lv, rv
+
+
+def run_equation(eq: Equation, plan: Plan, assignment) -> tuple[bool, Subspace, Subspace]:
+    """``evaluate_equation`` without ``nodes``, by ``plan = Plan(eq.lhs,
+    eq.rhs)`` built once, so a search over many assignments walks the
+    formula once."""
+    vals = plan.run(assignment)
+    lv, rv = vals[plan.roots[0]], vals[plan.roots[1]]
+    return _holds(eq, lv, rv), lv, rv
+
+
+def _holds(eq: Equation, lv: Subspace, rv: Subspace) -> bool:
+    return lv == rv if eq.relation == "=" else lv.leq(rv)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from .formula import (
     Equation,
     Formula,
     ONE,
+    Plan,
     ZERO,
     _coerce_assignment,
     alpha,
@@ -35,6 +36,7 @@ from .formula import (
     free_vars,
     m_distributive,
     parse,
+    run_equation,
     to_source,
 )
 from .linalg import int_from_json
@@ -111,9 +113,16 @@ def _trial_rng(seed: int, trial: int) -> random.Random:
 def _draw_assignment(eq_vars: Sequence[str], ambient: int, seed: int, trial: int,
                      entry_bound: int) -> Assignment:
     rng = _trial_rng(seed, trial)
+    # Each dimension is randint(0, ambient): randrange(w) with w = ambient + 1,
+    # which is getrandbits(k), k = w.bit_length(), redrawn while it is >= w.
+    # Running that loop here takes the same bits and gives the same values.
+    w = ambient + 1
+    k, bits = w.bit_length(), rng.getrandbits
     subs = {}
     for name in eq_vars:
-        d = rng.randrange(ambient + 1)  # the bits and value of randint(0, ambient)
+        d = bits(k)
+        while d >= w:
+            d = bits(k)
         subs[name] = random_subspace_rng(rng, ambient, d, entry_bound)
     return Assignment(subs, ambient)
 
@@ -129,11 +138,12 @@ def falsify(eq, ambient_dim: int, trials: int = DEFAULT_TRIALS, seed: int = 0, *
     Deterministic given (equation, ambient, trials, seed, entry_bound):
     trial k always sees the same assignment. A dimension-0 draw is the
     shared zero and a dimension-ambient draw, unless its rows lose rank mod
-    p, the shared full space: neither costs an elimination.
+    p, the shared full space: neither costs an elimination. The equation's
+    evaluation ``Plan`` is built once and run at every trial.
 
     ``audit(assignment, lhs, rhs)`` runs after every trial; a hook that takes
-    a ``nodes`` keyword also gets ``{id(node): value}`` for both sides, so it
-    need not evaluate again.
+    a ``nodes`` keyword also gets ``{id(node): value}`` for both sides, from
+    ``evaluate_equation`` in place of the plan, so it need not evaluate again.
     """
     eq = _coerce_equation(eq)
     if trials < 1:
@@ -144,6 +154,7 @@ def falsify(eq, ambient_dim: int, trials: int = DEFAULT_TRIALS, seed: int = 0, *
         raise ValueError("entry bound must be at least 1")
     eq_vars = tuple(sorted(free_vars(eq)))
     with_nodes = audit is not None and "nodes" in inspect.signature(audit).parameters
+    plan = None if with_nodes else Plan(eq.lhs, eq.rhs)
     for t in range(trials):
         a = _draw_assignment(eq_vars, ambient_dim, seed, t, entry_bound)
         if with_nodes:
@@ -151,7 +162,7 @@ def falsify(eq, ambient_dim: int, trials: int = DEFAULT_TRIALS, seed: int = 0, *
             holds, lv, rv = evaluate_equation(eq, a, nodes)
             audit(a, lv, rv, nodes=nodes)
         else:
-            holds, lv, rv = evaluate_equation(eq, a)
+            holds, lv, rv = run_equation(eq, plan, a)
             if audit is not None:
                 audit(a, lv, rv)
         if not holds:

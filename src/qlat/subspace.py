@@ -18,10 +18,18 @@ against either orientation; == across orientations is leq at equal dimension;
 tensor_embed places the operand's rows: none eliminates. hash, basis and JSON
 read the forward form, which a reverse value derives with one elimination.
 
-Before eliminating, join and meet try a certificate: the rank of the stacked
-rows modulo one prime (``linalg.rank_mod_p``), a lower bound on their exact
-rank. Mod-p rank n proves a join is the full space; mod-p rank dim a + dim b
-proves the rows independent, so dim(a & b) = dim a + dim b - dim(a | b) = 0.
+An atom (a line) or a coatom (a hyperplane) decides a join or meet by one
+leq, the covering law of the atomistic lattice: for an atom p, p & x is p if
+p <= x and 0 otherwise, and p | x is x if p <= x; for a coatom h, x | h is h
+if x <= h and the whole space otherwise, and x & h is x if x <= h. Each result
+is an operand or the shared zero or full space, already canonical in its own
+orientation, so none eliminates. In C^2 every proper subspace is both.
+
+Otherwise, before eliminating, join and meet try a certificate: the rank of
+the stacked rows modulo one prime (``linalg.rank_mod_p``), a lower bound on
+their exact rank. Mod-p rank n proves a join is the full space; mod-p rank
+dim a + dim b proves the rows independent, so
+dim(a & b) = dim a + dim b - dim(a | b) = 0.
 Any other outcome falls through to the exact path, so a certificate is never
 wrong, only sometimes unused. The full space and the zero are one shared pair
 of values per ambient, each the other's ortho; any other value caches its ortho
@@ -149,17 +157,26 @@ class Subspace:
 
     def meet(self, other: "Subspace") -> "Subspace":
         """Set intersection, as the De Morgan dual ~(~self | ~other), unless
-        the stacked rows are independent mod p, which makes the meet 0. The
+        an atom or a coatom decides it by one leq (module docstring) or the
+        stacked rows are independent mod p, which makes the meet 0. The
         rows of ~self and ~other are eliminated once, in reverse column order,
         so the ortho of that join is forward and free. The join's full-rank
         certificate is not tried: ~self | ~other is full exactly when the
         meet is 0, and can be only when k <= n, where the test above ran."""
         self._check_ambient(other)
-        if self.is_zero() or other.is_full():
+        n, ds, do = self.ambient, len(self.rows), len(other.rows)
+        if ds == 0 or do == n:
             return self
-        if other.is_zero() or self.is_full():
+        if do == 0 or ds == n:
             return other
-        n, k = self.ambient, self.dim + other.dim
+        if ds == 1 or do == 1:
+            p, x = (self, other) if ds == 1 else (other, self)
+            return p if p.leq(x) else Subspace.zero(n)
+        if do == n - 1 and self.leq(other):
+            return self
+        if ds == n - 1 and other.leq(self):
+            return other
+        k = ds + do
         if k <= n and rank_mod_p(self.rows + other.rows, n) == k:
             return Subspace.zero(n)
         rows = self.ortho().rows + other.ortho().rows
@@ -168,13 +185,22 @@ class Subspace:
                         tuple(n - 1 - c for c in reversed(piv)), True).ortho()
 
     def join(self, other: "Subspace") -> "Subspace":
-        """Span of the union (closure of the span; closed automatically here)."""
+        """Span of the union: decided by one leq when an operand is a coatom,
+        or an atom contained in the other (module docstring), the full space
+        when the stacked rows have rank n mod p, else one elimination."""
         self._check_ambient(other)
-        if self.is_zero() or other.is_full():
+        n, ds, do = self.ambient, len(self.rows), len(other.rows)
+        if ds == 0 or do == n:
             return other
-        if other.is_zero() or self.is_full():
+        if do == 0 or ds == n:
             return self
-        n = self.ambient
+        if ds == n - 1 or do == n - 1:
+            h, x = (self, other) if ds == n - 1 else (other, self)
+            return h if x.leq(h) else Subspace.full(n)
+        if do == 1 and other.leq(self):
+            return self
+        if ds == 1 and self.leq(other):
+            return other
         rows = self.rows + other.rows
         if len(rows) >= n and rank_mod_p(rows, n) == n:
             return Subspace.full(n)
@@ -258,11 +284,27 @@ def random_subspace_rng(rng: random.Random, ambient: int, dim: int,
         raise ValueError("entry bound must be at least 1")
     if dim == 0:
         return Subspace.zero(ambient)
-    # randrange(w) - b draws the same bits and values as randint(-b, b).
+    # Each part is randint(-b, b): randrange(w) - b with w = 2b + 1, and
+    # randrange(w) is getrandbits(k), k = w.bit_length(), redrawn while it is
+    # >= w. Running that loop here calls getrandbits with the same k the same
+    # number of times, so the bits and values are randint's, without its call
+    # layers; the loop is written out for each part, as a call per part costs
+    # what it saves.
     b, w = entry_bound, 2 * entry_bound + 1
+    k, bits = w.bit_length(), rng.getrandbits
     for _ in range(REDRAW_CAP):
-        rows = [[(rng.randrange(w) - b, rng.randrange(w) - b) for _ in range(ambient)]
-                for _ in range(dim)]
+        rows = []
+        for _ in range(dim):
+            row = []
+            for _ in range(ambient):
+                re = bits(k)
+                while re >= w:
+                    re = bits(k)
+                im = bits(k)
+                while im >= w:
+                    im = bits(k)
+                row.append((re - b, im - b))
+            rows.append(row)
         if dim == ambient and rank_mod_p(rows, ambient) == ambient:
             return Subspace.full(ambient)
         s = Subspace(ambient, *_canonical(rows, ambient))

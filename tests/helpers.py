@@ -1,4 +1,5 @@
-"""Shared test code: seeded random formulas and assignments, the per-term
+"""Shared test code: seeded random formulas and assignments, the former
+recursive evaluator that the evaluation plan is checked against, the per-term
 ``TLElement`` builder, the Fraction-based writers that the integer JSON
 writers are checked against, the former draw path that eliminates every
 draw, which the draw path is checked against, and the stdlib JSON call that
@@ -10,7 +11,8 @@ import json
 import random
 from fractions import Fraction
 
-from qlat.formula import And, Assignment, Formula, Not, ONE, Or, Var, ZERO
+from qlat.formula import (And, Assignment, Formula, Not, ONE, One, Or, UnboundVariableError,
+                          Var, ZERO, Zero)
 from qlat.linalg import _ff_gauss_jordan, _lowest_terms
 from qlat.ratfunc import P_ONE, ip_divexact, ip_gcd, ip_mul
 from qlat.search import _trial_rng
@@ -45,6 +47,34 @@ def random_assignment(rng: random.Random, names, ambient: int,
         dim = rng.randint(0, ambient)
         subs[name] = random_subspace_rng(rng, ambient, dim, entry_bound)
     return Assignment(subs, ambient)
+
+
+def oracle_evaluate(n: Formula, a: Assignment, cache: dict) -> Subspace:
+    """The former ``formula._evaluate``: a recursion per tree level that
+    memoizes each node's value in ``cache`` by node id."""
+    v = cache.get(id(n))
+    if v is not None:
+        return v
+    t = type(n)
+    if t is Var:
+        try:
+            v = a[n.name]
+        except KeyError:
+            raise UnboundVariableError(n.name) from None
+    elif t is And:
+        v = oracle_evaluate(n.left, a, cache).meet(oracle_evaluate(n.right, a, cache))
+    elif t is Or:
+        v = oracle_evaluate(n.left, a, cache).join(oracle_evaluate(n.right, a, cache))
+    elif t is Not:
+        v = oracle_evaluate(n.child, a, cache).ortho()
+    elif t is Zero:
+        v = Subspace.zero(a.ambient)
+    elif t is One:
+        v = Subspace.full(a.ambient)
+    else:
+        raise TypeError(f"not a formula node: {type(n).__name__}")
+    cache[id(n)] = v
+    return v
 
 
 def tl_from_terms(n: int, terms: dict) -> TLElement:

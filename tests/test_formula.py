@@ -2,13 +2,14 @@
 
 import gc
 import random
+import sys
 import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_assignment, random_formula
+from helpers import oracle_evaluate, random_assignment, random_formula
 from qlat.formula import (
     MAX_PARSE_DEPTH,
     And,
@@ -18,6 +19,7 @@ from qlat.formula import (
     ONE,
     Or,
     ParseError,
+    Plan,
     UnboundVariableError,
     Var,
     ZERO,
@@ -30,6 +32,7 @@ from qlat.formula import (
     distinctness_formula,
     evaluate,
     evaluate_equation,
+    evaluate_with_cache,
     free_vars,
     law,
     law_names,
@@ -38,6 +41,7 @@ from qlat.formula import (
     parse_equation,
     parse_formula,
     restrict,
+    run_equation,
     to_nnf,
     to_source,
 )
@@ -207,6 +211,82 @@ class TestEvaluate:
         assert holds
         holds, lv, rv = evaluate_equation(parse_equation("p = q"), TRIPLE)
         assert not holds and lv == P and rv == Q
+
+
+def random_dag(rng, names, size: int) -> list:
+    """A pool of formula nodes: a few ``random_formula`` trees, then ``size``
+    connectives whose children are drawn from the pool, so nodes are shared."""
+    pool = [random_formula(rng, names, depth=rng.randint(0, 3)) for _ in range(3)]
+    for _ in range(size):
+        roll = rng.random()
+        if roll < 0.25:
+            pool.append(Not(rng.choice(pool)))
+        else:
+            pool.append((And if roll < 0.6 else Or)(rng.choice(pool), rng.choice(pool)))
+    return pool
+
+
+def _form(v: Subspace):
+    return v.ambient, v.rev, v.den, v.rows, v.piv
+
+
+class TestEvaluationPlan:
+    """The evaluation plan against the former recursive evaluator: the same
+    values, in the same orientation, and the same ``{id: value}`` dict."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 4), st.integers(0, 25), st.integers(0, 2 ** 32 - 1))
+    def test_matches_recursive_oracle(self, n, size, seed):
+        rng = random.Random(seed)
+        names = ("p", "q", "r")
+        pool = random_dag(rng, names, size)
+        a = random_assignment(rng, names, n)
+        for f in (pool[-1], rng.choice(pool)):
+            cache = {}
+            expected = oracle_evaluate(f, a, cache)
+            value, nodes = evaluate_with_cache(f, a)
+            assert _form(value) == _form(expected)
+            assert list(nodes) == list(cache)
+            assert all(_form(nodes[k]) == _form(v) for k, v in cache.items())
+        eq = Equation(pool[-1], rng.choice(pool), rng.choice(["=", "<="]))
+        lcache, rcache = {}, {}
+        lv, rv = oracle_evaluate(eq.lhs, a, lcache), oracle_evaluate(eq.rhs, a, rcache)
+        holds = lv == rv if eq.relation == "=" else lv.leq(rv)
+        nodes = {}
+        got = evaluate_equation(eq, a, nodes)
+        assert (got[0], _form(got[1]), _form(got[2])) == (holds, _form(lv), _form(rv))
+        assert nodes.keys() == {**lcache, **rcache}.keys()
+        got = run_equation(eq, Plan(eq.lhs, eq.rhs), a)
+        assert (got[0], _form(got[1]), _form(got[2])) == (holds, _form(lv), _form(rv))
+
+    def test_plan_lists_distinct_nodes_children_first(self):
+        f = alpha_levels(2)[-1]
+        plan = Plan(f, ZERO)
+        assert len(plan.nodes) == distinct_nodes(f) + 1
+        assert plan.roots == (len(plan.nodes) - 2, len(plan.nodes) - 1)
+        pos = {id(n): i for i, n in enumerate(plan.nodes)}
+        for i, n in enumerate(plan.nodes):
+            for slot in ("child", "left", "right"):
+                if hasattr(n, slot):
+                    assert pos[id(getattr(n, slot))] < i
+
+    def test_deep_chain_evaluates_without_recursion(self):
+        # built in code, not parsed: a chain far deeper than the recursion
+        # limit, evaluated against the same steps applied one by one
+        depth = 3 * sys.getrecursionlimit()
+        x, y = span([[1, 0]], 2), span([[1, 1]], 2)
+        a = Assignment({"x": x, "y": y})
+        yv = Var("y")
+        f, expected = Var("x"), x
+        for i in range(depth):
+            if i % 2:
+                f, expected = Not(f), expected.ortho()
+            else:
+                f, expected = Or(f, yv), expected.join(y)
+        value, nodes = evaluate_with_cache(f, a)
+        assert value == expected and len(nodes) == depth + 2
+        holds, lv, _ = evaluate_equation(Equation(f, ZERO), a)
+        assert lv == expected and holds == expected.is_zero()
 
 
 def test_lattice_values_leave_no_cyclic_garbage():

@@ -142,15 +142,17 @@ class TestFalsify:
         assert verdict_to_json(a) == verdict_to_json(b)
 
     def test_failing_trial_evaluated_once(self, monkeypatch):
+        # each trial runs the equation's plan once, the failing one included
         import qlat.search
 
         calls = []
+        plain = qlat.search.run_equation
 
-        def counted(eq, a):
+        def counted(eq, plan, a):
             calls.append(a)
-            return evaluate_equation(eq, a)
+            return plain(eq, plan, a)
 
-        monkeypatch.setattr(qlat.search, "evaluate_equation", counted)
+        monkeypatch.setattr(qlat.search, "run_equation", counted)
         v = falsify(law("distributivity"), 2, 1000, seed=5)
         assert v.status == COUNTEREXAMPLE and v.trials_run == 9
         assert len(calls) == 9

@@ -6,7 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import qlat.subspace
@@ -444,6 +444,23 @@ class TestModularCertificates:
         assert (a | b).is_full()
         assert (a & b).is_zero()
 
+    @pytest.mark.parametrize("entry", [MOD_P, GaussianRational(MOD_P - MOD_I, 1)],
+                             ids=["real", "gaussian"])
+    def test_fallback_when_rank_drops_mod_p_in_c4(self, entry, eliminations):
+        # Planes of C^4 are neither atoms nor coatoms, so the certificates
+        # run; b is a plus entry * (e2, e3), independent over Q(i) but equal
+        # to a mod p, so both miss and the exact path decides.
+        a = span([[1, 0, 0, 0], [0, 1, 0, 0]], 4)
+        b = span([[1, 0, entry, 0], [0, 1, 0, entry]], 4)
+        assert rank_mod_p(a.rows + b.rows, 4) == 2
+        eliminations.clear()
+        assert (a | b).is_full()
+        assert eliminations == [4]
+        assert (a & b).is_zero()
+        assert eliminations == [4, 4]
+        assert subspace_to_json(a | b) == _oracle_json(4, _oracle_join(a.basis, b.basis))
+        assert subspace_to_json(a & b) == _oracle_json(4, _oracle_meet(a.basis, b.basis))
+
     def test_full_is_shared(self):
         assert Subspace.full(5) is Subspace.full(5)
         assert Subspace.full(5).ortho().is_zero()
@@ -507,6 +524,92 @@ class TestModularCertificates:
         oa, ob = a.basis, b.basis
         assert subspace_to_json(a | b) == _oracle_json(n, _oracle_join(oa, ob))
         assert subspace_to_json(a & b) == _oracle_json(n, _oracle_meet(oa, ob))
+
+
+def _flip(v):
+    """v in the other orientation (0 and the whole space have only one)."""
+    return v._forward() if v.rev else ~((~v)._forward())
+
+
+def _check_against_oracle(pairs, n):
+    for x, y in pairs:
+        ox, oy = x.basis, y.basis
+        assert subspace_to_json(x & y) == _oracle_json(n, _oracle_meet(ox, oy))
+        assert subspace_to_json(x | y) == _oracle_json(n, _oracle_join(ox, oy))
+
+
+class TestCoveringRule:
+    """An atom p or a coatom h decides join and meet by one leq: p & x is p
+    or 0, p | x is x when p <= x, x | h is h or the whole space, x & h is x
+    when x <= h. The boxed oracles decide every result."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 8), st.sampled_from(["atom", "coatom"]),
+           st.sampled_from(["inside", "outside", "equal", "any"]),
+           st.booleans(), st.booleans(), st.integers(0, 2 ** 32 - 1))
+    def test_matches_oracle(self, n, kind, relation, flip_s, flip_x, seed):
+        # "inside" is p <= x for an atom and x <= h for a coatom, "outside"
+        # its negation; x <= h is built from random combinations of h's rows
+        rng = random.Random(seed)
+        s = random_subspace_rng(rng, n, 1 if kind == "atom" else n - 1, 2)
+        rows = [list(r) for r in s.basis.entries]
+        if relation == "equal":
+            x = span(rows, n)
+        elif relation == "inside" and kind == "atom":
+            extra = random_subspace_rng(rng, n, rng.randint(0, n), 2).basis.entries
+            x = span(rows + [list(r) for r in extra], n)
+        elif relation == "inside":
+            coeffs = [[rng.randint(-2, 2) for _ in rows] for _ in range(rng.randint(0, len(rows)))]
+            x = span([[sum((r[j] * c for r, c in zip(rows, cs)), GaussianRational(0))
+                       for j in range(n)] for cs in coeffs], n)
+        else:
+            x = random_subspace_rng(rng, n, rng.randint(0, n), 2)
+        if relation in ("inside", "equal"):
+            assert s.leq(x) if kind == "atom" else x.leq(s)
+        elif relation == "outside":
+            assume(not (s.leq(x) if kind == "atom" else x.leq(s)))
+        s, x = _flip(s) if flip_s else s, _flip(x) if flip_x else x
+        _check_against_oracle([(s, x), (x, s), (s, s)], n)
+
+    def test_lines_of_c2(self):
+        # every proper subspace of C^2 is a line, an atom and a coatom at once;
+        # ~X_AXIS is Y_AXIS in reverse orientation
+        lines = [X_AXIS, Y_AXIS, DIAG, ~X_AXIS, ~DIAG]
+        _check_against_oracle([(a, b) for a in lines for b in lines], 2)
+        assert (X_AXIS & DIAG).is_zero() and (X_AXIS | DIAG).is_full()
+        y_rev = ~X_AXIS
+        for r in (Y_AXIS & y_rev, Y_AXIS | y_rev, y_rev & Y_AXIS, y_rev | Y_AXIS):
+            assert r is Y_AXIS or r is y_rev
+
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    def test_decided_without_elimination_or_rank(self, n, eliminations, monkeypatch):
+        ranks = []
+        plain = qlat.subspace.rank_mod_p
+
+        def counted(rows, ncols):
+            ranks.append(ncols)
+            return plain(rows, ncols)
+
+        monkeypatch.setattr(qlat.subspace, "rank_mod_p", counted)
+        rng = random.Random(n)
+        x = random_subspace_rng(rng, n, 2)
+        rows = [list(r) for r in x.basis.entries]
+        p_in, p_out = span(rows[:1], n), random_subspace_rng(rng, n, 1)
+        extra = [list(r) for r in random_subspace_rng(rng, n, n - 3).basis.entries]
+        h_in, h_out = span(rows + extra, n), random_subspace_rng(rng, n, n - 1)
+        assert h_in.dim == n - 1 and not p_out.leq(x) and not x.leq(h_out)
+        assert not p_out.leq(h_out)
+        eliminations.clear()
+        ranks.clear()
+        assert (p_in & x) is p_in and (x & p_in) is p_in
+        assert (p_out & x).is_zero() and (x & p_out).is_zero()
+        assert (p_in | x) is x and (x | p_in) is x
+        assert (x | h_in) is h_in and (h_in | x) is h_in
+        assert (x | h_out).is_full() and (p_out | h_out).is_full()
+        assert (x & h_in) is x and (h_in & x) is x
+        o = ~h_in
+        assert o.rev and (o & ~x) is o and (~x | o) is ~x
+        assert eliminations == [] and ranks == []
 
 
 def _overlapping_pair(rng, n, bound):
