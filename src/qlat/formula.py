@@ -2,15 +2,15 @@
 
 Connectives are meet (&), join (|) and orthocomplement (~), plus the bounds
 0 and 1. Formulas are immutable DAGs: generated families (the distribution
-test formula, its iterates, the m-distributive law) share subformulas. Every
-walk memoizes on node identity, so it visits each distinct node once and maps
-a shared input node to one shared output node.
+test formula, its iterates, the m-distributive law) share subformulas.
 
-Evaluation has one home, ``Plan``: the distinct nodes of one or more formulas
-in topological order, built by an explicit-stack walk, so no formula depth
-reaches the recursion limit. ``evaluate_with_cache`` builds and runs one per
-call; a search builds one for both sides of its equation and runs it at every
-trial (``run_equation``).
+Every walk is one pass over a ``Plan``: the distinct nodes of one or more
+formulas in topological order, built by an explicit-stack walk, so no formula
+depth reaches the recursion limit. Evaluation, printing, ``free_vars``,
+``to_nnf`` and ``restrict`` each fill one list per plan position, so they
+visit each distinct node once and map a shared input node to one shared
+output node. An equation's walks run one plan over both sides; a search
+builds it once and runs it at every trial (``run_equation``).
 
 Concrete syntax (whitespace insignificant; unicode aliases on input only):
 
@@ -22,7 +22,7 @@ Concrete syntax (whitespace insignificant; unicode aliases on input only):
 
 Parsed text may nest at most ``MAX_PARSE_DEPTH`` levels: each connective and
 each parenthesized group is one level. Deeper text is a ``ParseError``, so
-no recursive walk over a parsed formula can exhaust the stack.
+the recursive-descent parser cannot exhaust the stack.
 """
 
 from __future__ import annotations
@@ -243,140 +243,6 @@ def parse_equation(text: str) -> Equation:
 
 
 # ---------------------------------------------------------------------------
-# Printing
-
-_PREC = {Or: 1, And: 2, Not: 3}
-
-
-def _prec(node: Formula) -> int:
-    return _PREC.get(type(node), 4)
-
-
-def to_source(node: Union[Formula, Equation]) -> str:
-    """Minimal-parenthesization source text; parse(to_source(f)) == f."""
-    memo: dict[int, str] = {}
-    if isinstance(node, Equation):
-        return f"{_source(node.lhs, memo)} {node.relation} {_source(node.rhs, memo)}"
-    return _source(node, memo)
-
-
-def _source(n: Formula, memo: dict[int, str]) -> str:
-    text = memo.get(id(n))
-    if text is not None:
-        return text
-    t = type(n)
-    if t is Var:
-        text = n.name
-    elif t is Zero:
-        text = "0"
-    elif t is One:
-        text = "1"
-    elif t is Not:
-        inner = _source(n.child, memo)
-        text = f"~({inner})" if _prec(n.child) < 3 else f"~{inner}"
-    else:
-        op, p = ("&", 2) if t is And else ("|", 1)
-        left, right = _source(n.left, memo), _source(n.right, memo)
-        if _prec(n.left) < p:
-            left = f"({left})"
-        if _prec(n.right) <= p:
-            right = f"({right})"
-        text = f"{left} {op} {right}"
-    memo[id(n)] = text
-    return text
-
-
-def free_vars(node: Union[Formula, Equation]) -> set[str]:
-    names: set[str] = set()
-    seen: set[int] = set()
-    for side in (node.lhs, node.rhs) if isinstance(node, Equation) else (node,):
-        _collect_vars(side, names, seen)
-    return names
-
-
-def _collect_vars(n: Formula, names: set[str], seen: set[int]) -> None:
-    if id(n) in seen:
-        return
-    seen.add(id(n))
-    t = type(n)
-    if t is Var:
-        names.add(n.name)
-    elif t is Not:
-        _collect_vars(n.child, names, seen)
-    elif t is And or t is Or:
-        _collect_vars(n.left, names, seen)
-        _collect_vars(n.right, names, seen)
-
-
-# ---------------------------------------------------------------------------
-# Normal form and restriction
-
-
-def to_nnf(f: Formula) -> Formula:
-    """Push all negations onto variables; ~~x and negated constants simplify.
-
-    The result is semantically equal under every evaluation (the lattice
-    satisfies De Morgan and double negation).
-    """
-    return _nnf(f, False, {})
-
-
-def _nnf(n: Formula, negated: bool, memo: dict[tuple[int, bool], Formula]) -> Formula:
-    """The NNF of ``~n`` if ``negated``, else of ``n``."""
-    key = (id(n), negated)
-    out = memo.get(key)
-    if out is not None:
-        return out
-    t = type(n)
-    if t is Not:
-        out = _nnf(n.child, not negated, memo)
-    elif t is And or t is Or:
-        if negated:
-            t = Or if t is And else And
-        out = t(_nnf(n.left, negated, memo), _nnf(n.right, negated, memo))
-    elif not negated:
-        out = n
-    elif t is Var:
-        out = Not(n)
-    else:
-        out = ONE if t is Zero else ZERO
-    memo[key] = out
-    return out
-
-
-def restrict(f: Formula, beta: Formula) -> Formula:
-    """Relativize ``f`` to live inside ``beta``.
-
-    After normalizing ``f``, each variable u becomes u & beta and each negated
-    variable ~u becomes ~(u & beta) & beta, the complement within beta. The
-    constant 1 restricts to beta and 0 to 0, which keeps the evaluation of the
-    result contained in the evaluation of beta unconditionally. The same
-    ``beta`` node is shared at every substitution site, and so is the one
-    u & beta node of each variable object.
-    """
-    return _restrict(to_nnf(f), beta, {})
-
-
-def _restrict(n: Formula, beta: Formula, memo: dict[int, Formula]) -> Formula:
-    out = memo.get(id(n))
-    if out is not None:
-        return out
-    t = type(n)
-    if t is Var:
-        out = And(n, beta)
-    elif t is Not:
-        out = And(Not(_restrict(n.child, beta, memo)), beta)
-    elif t is One:
-        out = beta
-    elif t is Zero:
-        out = n
-    else:
-        out = t(_restrict(n.left, beta, memo), _restrict(n.right, beta, memo))
-    memo[id(n)] = out
-    return out
-
-
-# ---------------------------------------------------------------------------
 # Evaluation
 
 
@@ -433,15 +299,16 @@ _VAR, _ZERO, _ONE, _NOT, _AND, _OR = range(6)
 
 
 class Plan:
-    """One evaluation plan: ``nodes``, the distinct nodes of the given
-    formulas in topological order, children first; ``steps``, per node its
-    connective and a variable's name or its children's plan positions; and
-    ``roots``, the plan positions of the given formulas.
+    """The walk of one or more formulas: ``nodes``, their distinct nodes in
+    topological order, children first; ``steps``, per node its connective
+    and a variable's name or its children's plan positions; and ``roots``,
+    the plan positions of the given formulas.
 
     An explicit-stack walk, left child before right, builds it, so its order
-    is that of a memoized recursive evaluation and no formula depth reaches
-    the recursion limit. It holds nodes, names and integers only, so it makes
-    no reference cycle. Build it once and ``run`` it at each assignment.
+    is that of a memoized recursive walk and no formula depth reaches the
+    recursion limit. It holds nodes, names and integers only, so it makes no
+    reference cycle. Build it once and ``run`` it at each assignment; the
+    printer and the rewrites loop over its ``steps`` the same way.
     """
 
     __slots__ = ("nodes", "steps", "roots")
@@ -523,26 +390,117 @@ def evaluate_equation(eq: Equation, assignment,
     s <= t is decided exactly by containment, ``s.leq(t)``. A ``nodes`` dict
     receives the value of every node of both sides, keyed by node id.
     """
-    a = _coerce_assignment(assignment)
-    lv, lcache = evaluate_with_cache(eq.lhs, a)
-    rv, rcache = evaluate_with_cache(eq.rhs, a)
-    if nodes is not None:
-        nodes.update(lcache)
-        nodes.update(rcache)
-    return _holds(eq, lv, rv), lv, rv
+    return run_equation(eq, Plan(eq.lhs, eq.rhs), assignment, nodes)
 
 
-def run_equation(eq: Equation, plan: Plan, assignment) -> tuple[bool, Subspace, Subspace]:
-    """``evaluate_equation`` without ``nodes``, by ``plan = Plan(eq.lhs,
-    eq.rhs)`` built once, so a search over many assignments walks the
-    formula once."""
+def run_equation(eq: Equation, plan: Plan, assignment,
+                 nodes: dict | None = None) -> tuple[bool, Subspace, Subspace]:
+    """``evaluate_equation`` by ``plan = Plan(eq.lhs, eq.rhs)``, built once,
+    so a search over many assignments walks the formula once."""
     vals = plan.run(assignment)
+    if nodes is not None:
+        nodes.update(zip(map(id, plan.nodes), vals))
     lv, rv = vals[plan.roots[0]], vals[plan.roots[1]]
-    return _holds(eq, lv, rv), lv, rv
+    return (lv == rv if eq.relation == "=" else lv.leq(rv)), lv, rv
 
 
-def _holds(eq: Equation, lv: Subspace, rv: Subspace) -> bool:
-    return lv == rv if eq.relation == "=" else lv.leq(rv)
+# ---------------------------------------------------------------------------
+# Printing and variables
+
+
+def _plan_of(node: Union[Formula, Equation]) -> Plan:
+    return Plan(node.lhs, node.rhs) if isinstance(node, Equation) else Plan(node)
+
+
+# Binding strength per plan connective: | 1, & 2, ~ 3, atoms 4.
+_PREC = {_VAR: 4, _ZERO: 4, _ONE: 4, _NOT: 3, _AND: 2, _OR: 1}
+
+
+def to_source(node: Union[Formula, Equation]) -> str:
+    """Minimal-parenthesization source text; parse(to_source(f)) == f."""
+    plan = _plan_of(node)
+    steps = plan.steps
+    texts: list[str] = []
+    for op, x, y in steps:
+        if op == _VAR:
+            text = x
+        elif op == _ZERO or op == _ONE:
+            text = "0" if op == _ZERO else "1"
+        elif op == _NOT:
+            text = f"~({texts[x]})" if _PREC[steps[x][0]] < 3 else f"~{texts[x]}"
+        else:
+            p = _PREC[op]
+            left, right = texts[x], texts[y]
+            if _PREC[steps[x][0]] < p:
+                left = f"({left})"
+            if _PREC[steps[y][0]] <= p:
+                right = f"({right})"
+            text = f"{left} {'&' if op == _AND else '|'} {right}"
+        texts.append(text)
+    if isinstance(node, Equation):
+        return f"{texts[plan.roots[0]]} {node.relation} {texts[plan.roots[1]]}"
+    return texts[-1]
+
+
+def free_vars(node: Union[Formula, Equation]) -> set[str]:
+    return {x for op, x, _ in _plan_of(node).steps if op == _VAR}
+
+
+# ---------------------------------------------------------------------------
+# Normal form and restriction
+
+
+def to_nnf(f: Formula) -> Formula:
+    """Push all negations onto variables; ~~x and negated constants simplify.
+
+    The result is semantically equal under every evaluation (the lattice
+    satisfies De Morgan and double negation). Each node of ``f`` has one
+    output node per polarity: the NNF of the node and that of its negation.
+    """
+    plan = Plan(f)
+    pos: list[Formula] = []
+    neg: list[Formula] = []
+    for n, (op, x, y) in zip(plan.nodes, plan.steps):
+        if op == _NOT:
+            p, m = neg[x], pos[x]
+        elif op == _AND:
+            p, m = And(pos[x], pos[y]), Or(neg[x], neg[y])
+        elif op == _OR:
+            p, m = Or(pos[x], pos[y]), And(neg[x], neg[y])
+        elif op == _VAR:
+            p, m = n, Not(n)
+        else:
+            p, m = n, ONE if op == _ZERO else ZERO
+        pos.append(p)
+        neg.append(m)
+    return pos[-1]
+
+
+def restrict(f: Formula, beta: Formula) -> Formula:
+    """Relativize ``f`` to live inside ``beta``.
+
+    After normalizing ``f``, each variable u becomes u & beta and each negated
+    variable ~u becomes ~(u & beta) & beta, the complement within beta. The
+    constant 1 restricts to beta and 0 to 0, which keeps the evaluation of the
+    result contained in the evaluation of beta unconditionally. The same
+    ``beta`` node is shared at every substitution site, and so is the one
+    u & beta node of each variable object.
+    """
+    plan = Plan(to_nnf(f))
+    outs: list[Formula] = []
+    for n, (op, x, y) in zip(plan.nodes, plan.steps):
+        if op == _VAR:
+            out = And(n, beta)
+        elif op == _NOT:
+            out = And(Not(outs[x]), beta)
+        elif op == _ONE:
+            out = beta
+        elif op == _ZERO:
+            out = n
+        else:
+            out = (And if op == _AND else Or)(outs[x], outs[y])
+        outs.append(out)
+    return outs[-1]
 
 
 # ---------------------------------------------------------------------------

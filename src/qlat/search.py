@@ -25,6 +25,7 @@ from .formula import (
     ONE,
     Plan,
     ZERO,
+    _VAR,
     _coerce_assignment,
     alpha,
     alpha_levels,
@@ -33,7 +34,6 @@ from .formula import (
     evaluate,
     evaluate_equation,
     evaluate_with_cache,
-    free_vars,
     m_distributive,
     parse,
     run_equation,
@@ -139,11 +139,12 @@ def falsify(eq, ambient_dim: int, trials: int = DEFAULT_TRIALS, seed: int = 0, *
     trial k always sees the same assignment. A dimension-0 draw is the
     shared zero and a dimension-ambient draw, unless its rows lose rank mod
     p, the shared full space: neither costs an elimination. The equation's
-    evaluation ``Plan`` is built once and run at every trial.
+    ``Plan`` is built once, names the variables to draw and is run at every
+    trial.
 
     ``audit(assignment, lhs, rhs)`` runs after every trial; a hook that takes
-    a ``nodes`` keyword also gets ``{id(node): value}`` for both sides, from
-    ``evaluate_equation`` in place of the plan, so it need not evaluate again.
+    a ``nodes`` keyword also gets ``{id(node): value}`` for both sides, filled
+    from the trial's run of the plan, so it need not evaluate again.
     """
     eq = _coerce_equation(eq)
     if trials < 1:
@@ -152,19 +153,17 @@ def falsify(eq, ambient_dim: int, trials: int = DEFAULT_TRIALS, seed: int = 0, *
         raise ValueError("ambient dimension must be at least 1")
     if entry_bound < 1:
         raise ValueError("entry bound must be at least 1")
-    eq_vars = tuple(sorted(free_vars(eq)))
+    plan = Plan(eq.lhs, eq.rhs)
+    eq_vars = tuple(sorted({x for op, x, _ in plan.steps if op == _VAR}))
     with_nodes = audit is not None and "nodes" in inspect.signature(audit).parameters
-    plan = None if with_nodes else Plan(eq.lhs, eq.rhs)
     for t in range(trials):
         a = _draw_assignment(eq_vars, ambient_dim, seed, t, entry_bound)
+        nodes = {} if with_nodes else None
+        holds, lv, rv = run_equation(eq, plan, a, nodes)
         if with_nodes:
-            nodes = {}
-            holds, lv, rv = evaluate_equation(eq, a, nodes)
             audit(a, lv, rv, nodes=nodes)
-        else:
-            holds, lv, rv = run_equation(eq, plan, a)
-            if audit is not None:
-                audit(a, lv, rv)
+        elif audit is not None:
+            audit(a, lv, rv)
         if not holds:
             return Verdict(COUNTEREXAMPLE, eq, ambient_dim, t + 1, seed, a, (lv, rv))
     return Verdict(NO_COUNTEREXAMPLE, eq, ambient_dim, trials, seed)

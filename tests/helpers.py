@@ -1,5 +1,5 @@
 """Shared test code: seeded random formulas and assignments, the former
-recursive evaluator that the evaluation plan is checked against, the per-term
+recursive evaluator and printer that the plan walks are checked against, the per-term
 ``TLElement`` builder, the Fraction-based writers that the integer JSON
 writers are checked against, the former draw path that eliminates every
 draw, which the draw path is checked against, and the stdlib JSON call that
@@ -11,8 +11,8 @@ import json
 import random
 from fractions import Fraction
 
-from qlat.formula import (And, Assignment, Formula, Not, ONE, One, Or, UnboundVariableError,
-                          Var, ZERO, Zero)
+from qlat.formula import (And, Assignment, Equation, Formula, Not, ONE, One, Or,
+                          UnboundVariableError, Var, ZERO, Zero)
 from qlat.linalg import _ff_gauss_jordan, _lowest_terms
 from qlat.ratfunc import P_ONE, ip_divexact, ip_gcd, ip_mul
 from qlat.search import _trial_rng
@@ -75,6 +75,45 @@ def oracle_evaluate(n: Formula, a: Assignment, cache: dict) -> Subspace:
         raise TypeError(f"not a formula node: {type(n).__name__}")
     cache[id(n)] = v
     return v
+
+
+_SOURCE_PREC = {Or: 1, And: 2, Not: 3}
+
+
+def oracle_source(node) -> str:
+    """The former ``formula.to_source``: a recursion per tree level that
+    memoizes each node's text by node id, one memo for both sides of an
+    equation."""
+    memo: dict[int, str] = {}
+    if isinstance(node, Equation):
+        return f"{_source(node.lhs, memo)} {node.relation} {_source(node.rhs, memo)}"
+    return _source(node, memo)
+
+
+def _source(n: Formula, memo: dict[int, str]) -> str:
+    text = memo.get(id(n))
+    if text is not None:
+        return text
+    t = type(n)
+    if t is Var:
+        text = n.name
+    elif t is Zero:
+        text = "0"
+    elif t is One:
+        text = "1"
+    elif t is Not:
+        inner = _source(n.child, memo)
+        text = f"~({inner})" if _SOURCE_PREC.get(type(n.child), 4) < 3 else f"~{inner}"
+    else:
+        op, p = ("&", 2) if t is And else ("|", 1)
+        left, right = _source(n.left, memo), _source(n.right, memo)
+        if _SOURCE_PREC.get(type(n.left), 4) < p:
+            left = f"({left})"
+        if _SOURCE_PREC.get(type(n.right), 4) <= p:
+            right = f"({right})"
+        text = f"{left} {op} {right}"
+    memo[id(n)] = text
+    return text
 
 
 def tl_from_terms(n: int, terms: dict) -> TLElement:

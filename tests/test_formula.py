@@ -1,15 +1,18 @@
 """Formula language: parser, printer, NNF, evaluation, restriction, generators."""
 
+import ast
 import gc
 import random
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import oracle_evaluate, random_assignment, random_formula
+import qlat.formula
+from helpers import oracle_evaluate, oracle_source, random_assignment, random_formula
 from qlat.formula import (
     MAX_PARSE_DEPTH,
     And,
@@ -45,7 +48,7 @@ from qlat.formula import (
     to_nnf,
     to_source,
 )
-from qlat.search import qubit_alpha_separator
+from qlat.search import falsify, qubit_alpha_separator
 from qlat.subspace import Subspace, random_subspace, span
 
 P = span([[1, 0]], 2)
@@ -277,22 +280,32 @@ class TestEvaluationPlan:
         x, y = span([[1, 0]], 2), span([[1, 1]], 2)
         a = Assignment({"x": x, "y": y})
         yv = Var("y")
-        f, expected = Var("x"), x
+        f, expected, text = Var("x"), x, "x"
         for i in range(depth):
             if i % 2:
-                f, expected = Not(f), expected.ortho()
+                f, expected, text = Not(f), expected.ortho(), f"~({text})"
             else:
-                f, expected = Or(f, yv), expected.join(y)
+                f, expected, text = Or(f, yv), expected.join(y), f"{text} | y"
         value, nodes = evaluate_with_cache(f, a)
         assert value == expected and len(nodes) == depth + 2
         holds, lv, _ = evaluate_equation(Equation(f, ZERO), a)
         assert lv == expected and holds == expected.is_zero()
+        # every other walk over the same chain: printing, variables, the
+        # normal form, restriction and a search
+        assert free_vars(f) == {"x", "y"}
+        assert to_source(f) == text
+        assert evaluate(to_nnf(f), a) == expected
+        assert evaluate(restrict(f, Var("x")), a).leq(x)
+        v = falsify(Equation(f, ZERO), 2, 2)
+        if v.witness is not None:
+            assert evaluate(f, v.witness) == v.witness_gap[0] != Subspace.zero(2)
 
 
 def test_lattice_values_leave_no_cyclic_garbage():
     # Evaluation caches, assignments and lattice values die by refcount, and
-    # so does the memo of every formula walk (a module-level recursion, not a
-    # closure): with the collector off, nothing is left for a collection to free.
+    # so do the per-position lists of every formula walk (a loop over a Plan,
+    # not a closure): with the collector off, nothing is left for a collection
+    # to free.
     eqs = [(eq, sorted(free_vars(eq))) for eq in (law("modularity"), law("orthomodularity"))]
     f = alpha_levels(3)[-1]
     enabled = gc.isenabled()
@@ -559,6 +572,57 @@ class TestMemoizedPrinter:
         f = alpha_levels(3)[-1]
         assert to_source(f) == tree_source(f)
         assert to_source(Equation(f, ZERO)) == tree_source(Equation(f, ZERO))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 25), st.integers(0, 2 ** 32 - 1))
+    def test_matches_recursive_printer(self, size, seed):
+        # the plan printer against the former memoized recursion, on shared
+        # DAGs and on equations whose sides share nodes
+        rng = random.Random(seed)
+        pool = random_dag(rng, ("p", "q", "r"), size)
+        for f in (pool[-1], rng.choice(pool)):
+            assert to_source(f) == oracle_source(f)
+        eq = Equation(pool[-1], rng.choice(pool), rng.choice(["=", "<="]))
+        assert to_source(eq) == oracle_source(eq)
+
+
+def _called_names(fn) -> set:
+    """The names ``fn`` calls, as plain names or attributes; ``super()``
+    calls name the parent's method, not ``fn``'s own."""
+    names = set()
+    for node in ast.walk(fn):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name):
+            names.add(func.id)
+        elif isinstance(func, ast.Attribute) and not (
+                isinstance(func.value, ast.Call) and getattr(func.value.func, "id", "") == "super"):
+            names.add(func.attr)
+    return names
+
+
+def test_no_formula_walk_recurses():
+    # every walk over a formula is a loop over a Plan, so no formula depth
+    # reaches the recursion limit; only the parser's methods, which
+    # MAX_PARSE_DEPTH bounds, may reach themselves again
+    tree = ast.parse(Path(qlat.formula.__file__).read_text())
+    parser = next(c for c in tree.body if isinstance(c, ast.ClassDef) and c.name == "_Parser")
+    calls: dict[str, set] = {}
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef) and fn not in parser.body:
+            calls.setdefault(fn.name, set()).update(_called_names(fn))
+    recursive = []
+    for name in calls:
+        seen, todo = set(), [name]
+        while todo:
+            for callee in calls.get(todo.pop(), ()):
+                if callee not in seen:
+                    seen.add(callee)
+                    todo.append(callee)
+        if name in seen:
+            recursive.append(name)
+    assert recursive == []
 
 
 def tree_nnf(f):

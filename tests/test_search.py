@@ -148,9 +148,9 @@ class TestFalsify:
         calls = []
         plain = qlat.search.run_equation
 
-        def counted(eq, plan, a):
+        def counted(eq, plan, a, nodes=None):
             calls.append(a)
-            return plain(eq, plan, a)
+            return plain(eq, plan, a, nodes)
 
         monkeypatch.setattr(qlat.search, "run_equation", counted)
         v = falsify(law("distributivity"), 2, 1000, seed=5)
@@ -240,24 +240,28 @@ class TestQubitSeparator:
             qubit_alpha_separator(1, trials=3, entry_bound=0)
 
     def test_audit_reads_node_cache(self, monkeypatch):
-        # two evaluations per trial (one per side) and one for the witness,
-        # whose cache holds every level; auditing by evaluating again made it
-        # 3 per trial, and building each level from the one before added 3
-        import qlat.formula
-        import qlat.search
+        # the search builds one plan before its first trial and runs it once
+        # per trial, the audit reading the run's node values; the witness
+        # builds one plan, whose values hold every level, and runs it once.
+        # Plans built earlier are alpha_levels' rewrites.
+        from qlat.formula import Plan
 
-        calls = []
-        plain = qlat.formula.evaluate_with_cache
+        events = []
+        plain_init, plain_run = Plan.__init__, Plan.run
 
-        def counted(*args, **kwargs):
-            calls.append(args[0])
-            return plain(*args, **kwargs)
+        def init(self, *roots):
+            events.append("build")
+            plain_init(self, *roots)
 
-        for mod in (qlat.formula, qlat.search):
-            if getattr(mod, "evaluate_with_cache", None) is plain:
-                monkeypatch.setattr(mod, "evaluate_with_cache", counted)
+        def run(self, assignment):
+            events.append("run")
+            return plain_run(self, assignment)
+
+        monkeypatch.setattr(Plan, "__init__", init)
+        monkeypatch.setattr(Plan, "run", run)
         qubit_alpha_separator(2, trials=10)
-        assert len(calls) == 21
+        first = events.index("run")
+        assert events[first - 1:] == ["build"] + ["run"] * 10 + ["build", "run"]
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3])
     def test_closed_form_matches_chained_oracle(self, n):
