@@ -4,6 +4,10 @@ Every command is scriptable and deterministic: JSON output is byte-identical
 for identical configuration (stable key order, seeds always recorded), and
 the human-readable mode renders the same data. Each subcommand declares only
 the flags it reads (``build_parser``), so any other flag is a usage error.
+A command returns ``(report, exit_code)``: a dict, or the source text that
+``alpha`` and ``mdist`` print. ``main`` alone writes: it stamps a dict with
+``version`` and ``seed``, writes it through ``emit`` (text through ``print``),
+flushes stdout and returns the code.
 Every input bound lives here; ``check_size_cap`` is the one dimension check,
 and the library routes the commands call are uncapped.
 ``--json`` output is exactly ``json.dumps(report, indent=2, sort_keys=True)``,
@@ -24,7 +28,6 @@ from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .formula import (
-    Equation,
     ParseError,
     alpha_iter,
     assignment_from_json,
@@ -32,6 +35,7 @@ from .formula import (
     law,
     m_distributive,
     parse,
+    parse_formula,
     to_source,
 )
 from .search import (
@@ -160,12 +164,6 @@ def _render_human(report: dict, indent: str = "") -> None:
             print(f"{indent}{key}: {value}")
 
 
-def _stamp(report: dict, args) -> dict:
-    report["version"] = __version__
-    report["seed"] = args.seed
-    return report
-
-
 def _resolve_check_target(text: str):
     """A bare identifier must name a catalog law; anything else is parsed."""
     stripped = text.strip()
@@ -177,10 +175,8 @@ def _resolve_check_target(text: str):
     return parse(text)
 
 
-def cmd_eval(args) -> int:
-    formula = parse(args.formula)
-    if isinstance(formula, Equation):
-        raise UsageError("eval expects a formula; use check-law or falsify for equations")
+def cmd_eval(args) -> tuple[dict, int]:
+    formula = parse_formula(args.formula)
     try:
         with open(args.assignment) as fh:
             raw = json.load(fh)
@@ -194,30 +190,27 @@ def cmd_eval(args) -> int:
             check_size_cap(int_from_json(val["ambient"], "ambient"))
     assignment = assignment_from_json(raw, args.dim)
     value = evaluate(formula, assignment)
-    report = _stamp({
+    return {
         "formula": to_source(formula),
         "ambient": assignment.ambient,
         "dim": value.dim,
         "value": subspace_to_json(value),
         "audit": audit_invariants(assignment),
-    }, args)
-    emit(report, args)
-    return EXIT_OK
+    }, EXIT_OK
 
 
-def cmd_check(args, resolve) -> int:
+def cmd_check(args, resolve) -> tuple[dict, int]:
     eq = resolve(args.target)
     dim = args.dim
     if dim is None:
         raise UsageError("--dim is required")
     check_size_cap(dim)
     verdict = falsify(eq, dim, args.trials, args.seed, entry_bound=args.entry_bound)
-    report = _stamp(verdict_to_json(verdict), args)
-    emit(report, args)
-    return EXIT_FOUND if verdict.status == COUNTEREXAMPLE else EXIT_OK
+    code = EXIT_FOUND if verdict.status == COUNTEREXAMPLE else EXIT_OK
+    return verdict_to_json(verdict), code
 
 
-def cmd_separate(args) -> int:
+def cmd_separate(args) -> tuple[dict, int]:
     m, n = args.m, args.n
     if not 1 <= m < n:
         raise UsageError("need 1 <= m < n")
@@ -228,73 +221,56 @@ def cmd_separate(args) -> int:
     else:
         cert = separate_dims(m, n, seed=args.seed, holds_trials=args.trials,
                              entry_bound=args.entry_bound)
-    report = _stamp(certificate_to_json(cert), args)
-    emit(report, args)
-    return EXIT_OK
+    return certificate_to_json(cert), EXIT_OK
 
 
-def cmd_alpha(args) -> int:
+def cmd_alpha(args) -> tuple[str, int]:
     if args.m > MAX_ALPHA_PRINT:
         raise UsageError(f"refusing to print level {args.m}: source grows "
                          f"exponentially (cap {MAX_ALPHA_PRINT})")
-    print(to_source(alpha_iter(args.m)))
-    return EXIT_OK
+    return to_source(alpha_iter(args.m)), EXIT_OK
 
 
-def cmd_mdist(args) -> int:
+def cmd_mdist(args) -> tuple[str, int]:
     check_size_cap(args.m)
-    print(to_source(m_distributive(args.m)))
-    return EXIT_OK
+    return to_source(m_distributive(args.m)), EXIT_OK
 
 
-def cmd_tl(args) -> int:
-    if args.tl_command == "relations":
-        return _tl_relations(args)
-    if args.tl_command == "jw":
-        return _tl_jw(args)
-    return _tl_trace(args)
-
-
-def _tl_relations(args) -> int:
-    n = args.n
-    if args.r is not None:
+def cmd_tl(args) -> tuple[dict, int]:
+    command, n = args.tl_command, args.n
+    if command == "relations" and args.r is not None:
         raise UsageError("--r applies only to tl jw and tl trace")
-    if not 2 <= n <= MAX_TL_STRANDS:
-        raise UsageError(f"--n must be in 2..{MAX_TL_STRANDS} for relation checks")
+    low = 1 if command == "jw" else 2  # relations and traces need e_1
+    if not low <= n <= MAX_TL_STRANDS:
+        raise UsageError(f"--n must be in {low}..{MAX_TL_STRANDS} for tl {command}")
+    return {"relations": _tl_relations, "jw": _tl_jw, "trace": _tl_trace}[command](args)
+
+
+def _tl_relations(args) -> tuple[dict, int]:
+    n = args.n
     checks = []
-    ok_all = True
     es = {i: generator_e(n, i) for i in range(1, n)}
     for i in range(1, n):
-        ok = es[i] * es[i] == es[i]
-        checks.append({"name": f"e{i}^2 = e{i}", "pass": ok})
-        ok_all &= ok
+        checks.append({"name": f"e{i}^2 = e{i}", "pass": es[i] * es[i] == es[i]})
     for i in range(1, n):
         for j in range(1, n):
             if abs(i - j) == 1:
-                lhs = es[i] * es[j] * es[i]
-                ok = lhs == es[i] * (RF_D ** -2)
-                checks.append({"name": f"e{i} e{j} e{i} = e{i}/d^2", "pass": ok})
-                ok_all &= ok
+                checks.append({"name": f"e{i} e{j} e{i} = e{i}/d^2",
+                               "pass": es[i] * es[j] * es[i] == es[i] * (RF_D ** -2)})
             elif i < j:
-                ok = es[i] * es[j] == es[j] * es[i]
-                checks.append({"name": f"e{i} e{j} = e{j} e{i}", "pass": ok})
-                ok_all &= ok
-    report = _stamp({"n": n, "checks": checks, "all_pass": ok_all}, args)
-    emit(report, args)
-    return EXIT_OK if ok_all else EXIT_FOUND
+                checks.append({"name": f"e{i} e{j} = e{j} e{i}",
+                               "pass": es[i] * es[j] == es[j] * es[i]})
+    all_pass = all(c["pass"] for c in checks)
+    report = {"n": n, "checks": checks, "all_pass": all_pass}
+    return report, EXIT_OK if all_pass else EXIT_FOUND
 
 
-def _tl_jw(args) -> int:
+def _tl_jw(args) -> tuple[dict, int]:
     n, r = args.n, args.r
-    if n < 1:
-        raise UsageError("--n must be at least 1")
-    if n > MAX_TL_STRANDS:
-        raise UsageError(f"--n above {MAX_TL_STRANDS} is too large for the exact projector")
     if r is not None:
         error = projector_level_error(n, r)
         if error:
-            emit(_stamp({"error": error}, args), args)
-            return EXIT_FOUND
+            return {"error": error}, EXIT_FOUND
     p = jones_wenzl(n)
     trace = markov_trace(p)
     expected = chebyshev(n).as_rational_function() / (
@@ -314,14 +290,11 @@ def _tl_jw(args) -> int:
             {"pairing": [[a, b] for a, b in diag.pairing], "value": numeric[diag]}
             for diag in sorted(numeric)
         ]
-    emit(_stamp(report, args), args)
-    return EXIT_OK
+    return report, EXIT_OK
 
 
-def _tl_trace(args) -> int:
+def _tl_trace(args) -> tuple[dict, int]:
     n, r = args.n, args.r
-    if not 2 <= n <= MAX_TL_STRANDS:
-        raise UsageError(f"--n must be in 2..{MAX_TL_STRANDS}")
     d = None if r is None else root_params(r)
     tr_e = markov_trace(generator_e(n, 1))
     rows = [{"element": "e_i", "trace": repr(tr_e)}]
@@ -336,8 +309,7 @@ def _tl_trace(args) -> int:
             "tr(e_i)": eval_at_root(tr_e, r),
             "quarter_sec_squared": 0.25 / math.cos(math.pi / r) ** 2,
         }
-    emit(_stamp(report, args), args)
-    return EXIT_OK
+    return report, EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -404,7 +376,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code = args.func(args)
+        report, code = args.func(args)
+        if isinstance(report, str):
+            print(report)
+        else:
+            report["version"] = __version__
+            report["seed"] = args.seed
+            emit(report, args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

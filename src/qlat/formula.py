@@ -75,7 +75,7 @@ ONE = One()
 
 @dataclass(frozen=True, slots=True)
 class Equation:
-    """lhs = rhs, or lhs <= rhs (sugar: s <= t is checked as s & t = s)."""
+    """lhs = rhs, or lhs <= rhs (decided by containment, ``lv.leq(rv)``)."""
     lhs: Formula
     rhs: Formula
     relation: str = "="

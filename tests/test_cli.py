@@ -251,6 +251,18 @@ def test_every_capped_command(capsys, monkeypatch, tmp_path, at_cap, over, dim):
     assert err == f"error: dimension {dim} exceeds the size cap 4\n"
 
 
+# the input bounds past the parser, each met from below and above where it has two
+@pytest.mark.parametrize("argv", [
+    "tl relations --n 1", "tl relations --n 9", "tl jw --n 0", "tl jw --n 9",
+    "tl trace --n 1", "tl trace --n 9", "eval p=q TRIPLE", "check-law modularity",
+])
+def test_bound_refused_in_one_line(capsys, triple_file, argv):
+    code, out, err = run(capsys, *(triple_file if w == "TRIPLE" else w
+                                   for w in argv.split()))
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
 # sha256 of stdout; any change to the canonical form or to the search order
 # changes them. The `separate 2 3` digest covers the built Huhn witness; its
 # sampled half is also pinned on its own by test_golden_holds_evidence.
@@ -559,6 +571,23 @@ class TestJsonEncoder:
                 if name in ("dump", "dumps") and any(k.arg == "indent" for k in node.keywords):
                     calls.append(f"{path.name}:{node.lineno}")
         assert calls == []
+
+
+def test_only_main_writes_stdout():
+    # commands return their reports; main stamps and writes them, through emit
+    # and _render_human, or print for source text
+    tree = ast.parse(Path(qlat.cli.__file__).read_text())
+    writers = collections.defaultdict(set)
+    for stmt in tree.body:
+        owner = getattr(stmt, "name", "<module>")
+        for node in ast.walk(stmt):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)):
+                continue
+            name = node.func.id
+            if name == "emit" or (name == "print"
+                                  and not any(k.arg == "file" for k in node.keywords)):
+                writers[name].add(owner)
+    assert writers == {"emit": {"main"}, "print": {"main", "emit", "_render_human"}}
 
 
 # Each subcommand takes exactly the flags it reads; any other flag is a usage

@@ -396,6 +396,70 @@ class TestLift:
         assert rv == v.witness_gap[1].tensor_embed(3)
 
 
+def _zeros(a):
+    """``a`` with every variable bound to the zero subspace."""
+    return Assignment({name: Subspace.zero(a.ambient) for name in a}, a.ambient)
+
+
+class TestBugGuards:
+    """Each "this is a bug" guard fires once the step before it is broken."""
+
+    @staticmethod
+    def _fails(eq, ambient, trials, seed, **_):
+        zero = Subspace.zero(ambient)
+        return Verdict(COUNTEREXAMPLE, eq, ambient, 1, seed, Assignment({}, ambient),
+                       (zero, zero))
+
+    def test_qubit_holds_side(self, monkeypatch):
+        import qlat.search
+
+        monkeypatch.setattr(qlat.search, "falsify", self._fails)
+        with pytest.raises(RuntimeError, match=r"iterated test formula unexpectedly "
+                           r"failed in C\^2; this is a bug"):
+            qubit_alpha_separator(1, trials=1)
+
+    def test_huhn_holds_side(self, monkeypatch):
+        import qlat.search
+
+        monkeypatch.setattr(qlat.search, "falsify", self._fails)
+        with pytest.raises(RuntimeError, match=r"the 2-distributive law unexpectedly "
+                           r"failed in C\^2; this is a bug"):
+            separate_dims(2, 3, holds_trials=1)
+
+    def test_huhn_witness_sides(self, monkeypatch):
+        import qlat.search
+
+        monkeypatch.setattr(qlat.search, "huhn_witness",
+                            lambda m, n: _zeros(huhn_witness(m, n)))
+        with pytest.raises(RuntimeError, match=r"Huhn witness in C\^3 has sides of "
+                           r"dims 0 and 0, expected 1 and 0"):
+            separate_dims(2, 3, holds_trials=1)
+
+    def test_lift_recheck(self, monkeypatch):
+        import qlat.search
+
+        v = falsify(law("distributivity"), 2, 500, seed=3)
+        monkeypatch.setattr(qlat.search, "embed_assignment",
+                            lambda a, f: _zeros(embed_assignment(a, f)))
+        with pytest.raises(RuntimeError, match="lifted witness no longer violates "
+                           "the equation; this is a bug"):
+            lift_counterexample(v, 2)
+
+    @pytest.mark.parametrize("broken,message", [
+        (lambda p, q, r: (p, p, p), "structured triple has a nontrivial pairwise meet"),
+        (lambda p, q, r: (p.meet(q),) * 3,
+         "structured triple failed the half-dimension check"),
+    ], ids=["pairwise-meet", "half-dimension"])
+    def test_structured_alpha_self_checks(self, monkeypatch, broken, message):
+        import qlat.search
+
+        plain = qlat.search._half_split_triple
+        monkeypatch.setattr(qlat.search, "_half_split_triple",
+                            lambda rows, ambient: broken(*plain(rows, ambient)))
+        with pytest.raises(RuntimeError, match=message):
+            structured_alpha_witness(4)
+
+
 class TestAudit:
     def test_standard_triple_passes(self):
         a = structured_alpha_witness(2)
