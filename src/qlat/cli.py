@@ -52,7 +52,6 @@ from .linalg import int_from_json
 from .subspace import DEFAULT_ENTRY_BOUND, subspace_to_json
 from .ratfunc import RF_D
 from .templieb import (
-    PoleError,
     chebyshev,
     eval_at_root,
     generator_e,
@@ -394,9 +393,6 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except PoleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FOUND
     except (UsageError, ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -131,7 +131,7 @@ def ip_eval(cs: IntCoeffs, x):
     return acc
 
 
-def p_to_str(cs, var: str = "d") -> str:
+def p_to_str(cs) -> str:
     if not cs:
         return "0"
     parts = []
@@ -143,7 +143,7 @@ def p_to_str(cs, var: str = "d") -> str:
             term = str(abs(c))
         else:
             mag = "" if abs(c) == 1 else f"{abs(c)}*"
-            term = f"{mag}{var}" if k == 1 else f"{mag}{var}^{k}"
+            term = f"{mag}d" if k == 1 else f"{mag}d^{k}"
         if not parts:
             parts.append(term if c > 0 else f"-{term}")
         else:

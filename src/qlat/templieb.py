@@ -50,32 +50,38 @@ class JonesWenzlError(RuntimeError):
 
 
 class PlanarDiagram:
-    """A noncrossing perfect matching of the 2n boundary points."""
+    """A noncrossing perfect matching of the 2n boundary points, held as its
+    involution: ``partner[j]`` is the point joined to j. Equality, hashing
+    and order read ``partner``; ``pairing`` is derived for output."""
 
-    __slots__ = ("n", "pairing", "_partner", "_hash")
+    __slots__ = ("n", "partner", "_hash")
 
     def __init__(self, n: int, pairs):
         if n < 0:
             raise ValueError("strand count must be nonnegative")
-        norm = tuple(sorted(tuple(sorted(p)) for p in pairs))
-        points = [x for p in norm for x in p]
-        if sorted(points) != list(range(2 * n)):
+        pairs = list(pairs)
+        if sorted(x for p in pairs for x in p) != list(range(2 * n)):
             raise ValueError(f"pairs do not form a perfect matching of {2 * n} points")
-        if _has_crossing(norm, n):
+        partner = [0] * (2 * n)
+        for a, b in pairs:
+            partner[a], partner[b] = b, a
+        # Along the boundary every pair must close the innermost open one.
+        open_ = []
+        for j in _boundary(n):
+            if open_ and open_[-1] == partner[j]:
+                open_.pop()
+            else:
+                open_.append(j)
+        if open_:
             raise ValueError("matching is not planar in the rectangle embedding")
         self.n = n
-        self.pairing = norm
-        self._partner = None
-        self._hash = hash((n, norm))
+        self.partner = tuple(partner)
+        self._hash = hash(self.partner)
 
-    def partners(self) -> list[int]:
-        if self._partner is None:
-            arr = [0] * (2 * self.n)
-            for a, b in self.pairing:
-                arr[a] = b
-                arr[b] = a
-            self._partner = arr
-        return self._partner
+    @property
+    def pairing(self) -> tuple:
+        """The pairs (j, partner[j]) with j < partner[j], sorted."""
+        return _pairs(self.partner)
 
     @classmethod
     def identity(cls, n: int) -> "PlanarDiagram":
@@ -93,47 +99,38 @@ class PlanarDiagram:
     def __eq__(self, other):
         if not isinstance(other, PlanarDiagram):
             return NotImplemented
-        return self.n == other.n and self.pairing == other.pairing
+        return self.partner == other.partner
 
     def __hash__(self):
         return self._hash
 
     def __lt__(self, other):
-        return (self.n, self.pairing) < (other.n, other.pairing)
+        # At the first point where two involutions differ both open a pair,
+        # so this is the order of the sorted pairings.
+        return (self.n, self.partner) < (other.n, other.partner)
 
     def __repr__(self):
         return f"PlanarDiagram({self.n}, {list(self.pairing)})"
 
     def reflect(self) -> "PlanarDiagram":
         """Turned upside down: point j < n swaps with point n + j."""
-        n, m = self.n, 2 * self.n
-        return _interned(n, tuple(sorted(tuple(sorted(((a + n) % m, (b + n) % m)))
-                                         for a, b in self.pairing)))
+        n, m, p = self.n, 2 * self.n, self.partner
+        return _interned(tuple((q + n) % m for q in p[n:] + p[:n]))
 
 
-def _rect_pos(point: int, n: int) -> int:
-    # Walk the rectangle boundary: bottom left to right, then top right to left
-    # (an involution). Crossings in this circular order are the non-planar ones.
-    return point if point < n else 3 * n - 1 - point
+def _boundary(n: int) -> list[int]:
+    """The points around the rectangle: bottom left to right, then top right
+    to left. A matching is planar when its pairs nest in this order."""
+    return [*range(n), *range(2 * n - 1, n - 1, -1)]
 
 
-def _has_crossing(pairs, n: int) -> bool:
-    spans = []
-    for a, b in pairs:
-        pa, pb = _rect_pos(a, n), _rect_pos(b, n)
-        spans.append((min(pa, pb), max(pa, pb)))
-    for i in range(len(spans)):
-        a1, b1 = spans[i]
-        for j in range(i + 1, len(spans)):
-            a2, b2 = spans[j]
-            if a1 < a2 < b1 < b2 or a2 < a1 < b2 < b1:
-                return True
-    return False
+def _pairs(partner: tuple) -> tuple:
+    return tuple((j, q) for j, q in enumerate(partner) if j < q)
 
 
 def enumerate_diagrams(n: int) -> list[PlanarDiagram]:
     """All noncrossing diagrams on n strands; there are Catalan(n) of them."""
-    def matchings(points: tuple[int, ...]):
+    def matchings(points: list[int]):
         if not points:
             yield []
             return
@@ -145,10 +142,7 @@ def enumerate_diagrams(n: int) -> list[PlanarDiagram]:
                 for mo in matchings(outer):
                     yield [(first, points[k])] + mi + mo
 
-    out = []
-    for m in matchings(tuple(range(2 * n))):
-        out.append(PlanarDiagram(n, [(_rect_pos(a, n), _rect_pos(b, n)) for a, b in m]))
-    return sorted(out)
+    return sorted(PlanarDiagram(n, m) for m in matchings(_boundary(n)))
 
 
 def catalan(n: int) -> int:
@@ -156,64 +150,52 @@ def catalan(n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _interned(n: int, pairing: tuple) -> PlanarDiagram:
-    """One shared diagram per pairing, checked by PlanarDiagram on first use."""
-    return PlanarDiagram(n, pairing)
+def _interned(partner: tuple) -> PlanarDiagram:
+    """One shared diagram per involution, checked by PlanarDiagram on first use."""
+    return PlanarDiagram(len(partner) // 2, _pairs(partner))
 
 
 def compose(top: PlanarDiagram, bottom: PlanarDiagram) -> tuple[PlanarDiagram, int]:
     """Stack ``top`` above ``bottom``; returns (diagram, closed loop count).
-    Pairs are found sorted, by their smaller point, so equal results share
-    one ``_interned`` key."""
+
+    A strand starts at a bottom point on ``bottom`` or a top point on ``top``.
+    Each step follows the current half's involution to q: q on that half's
+    outer side ends the strand; otherwise q is middle point q mod n, and the
+    walk goes on in the other half from q's mirror (q + n) mod 2n."""
     if top.n != bottom.n:
         raise ValueError(f"strand count mismatch: {top.n} vs {bottom.n}")
-    n = top.n
-    tp = top.partners()
-    bp = bottom.partners()
-    visited = [False] * n
-    seen = [False] * (2 * n)
-    pairs = []
-    for start in range(2 * n):
-        if seen[start]:
+    n, m = top.n, 2 * top.n
+    halves = (bottom.partner, top.partner)
+    out = [-1] * m
+    crossed = [False] * n
+    for start in range(m):
+        if out[start] >= 0:
             continue
-        # diag 0 walks the bottom diagram, diag 1 the top diagram
-        diag, pt = (0, start) if start < n else (1, start)
+        h, q = start >= n, start
         while True:
-            if diag == 0:
-                nxt = bp[pt]
-                if nxt < n:
-                    end = nxt
-                    break
-                j = nxt - n
-                visited[j] = True
-                diag, pt = 1, j
-            else:
-                nxt = tp[pt]
-                if nxt >= n:
-                    end = nxt
-                    break
-                visited[nxt] = True
-                diag, pt = 0, n + nxt
-        seen[start] = seen[end] = True
-        pairs.append((start, end))
+            q = halves[h][q]
+            if (q >= n) == h:
+                break
+            crossed[q % n] = True
+            h, q = not h, (q + n) % m
+        out[start], out[q] = q, start
+    # the middle points no strand crossed lie on closed loops, walked the same way
     loops = 0
     for j in range(n):
-        if visited[j]:
+        if crossed[j]:
             continue
         loops += 1
-        cur = j
-        while not visited[cur]:
-            visited[cur] = True
-            j2 = tp[cur]
-            visited[j2] = True
-            cur = bp[n + j2] - n
-    return _interned(n, tuple(pairs)), loops
+        h, q = True, j
+        while not crossed[q % n]:
+            crossed[q % n] = True
+            h, q = not h, (halves[h][q] + n) % m
+    return _interned(tuple(out)), loops
 
 
 def closure_loops(diagram: PlanarDiagram) -> int:
     """Loop count of the circular closure (bottom j joined to top n+j)."""
     n = diagram.n
-    partner = diagram.partners()
+    partner = diagram.partner
     visited = [False] * (2 * n)
     loops = 0
     for s in range(2 * n):
@@ -359,8 +341,8 @@ def include(x: TLElement) -> TLElement:
     n = x.n
     out = {}
     for diag, a in x.nums.items():
-        pairs = [tuple(p if p < n else p + 1 for p in pair) for pair in diag.pairing]
-        out[_interned(n + 1, tuple(sorted(pairs + [(n, 2 * n + 1)])))] = a
+        p = [q if q < n else q + 1 for q in diag.partner]
+        out[_interned((*p[:n], 2 * n + 1, *p[n:], n))] = a
     return TLElement(n + 1, out, x.den)
 
 
@@ -464,7 +446,12 @@ def projector_level_error(n: int, r: int) -> str | None:
     """Why the level-n projector has no value at the level-r root of unity, or
     None when it has one. The rule: at a level-r root the projectors exist
     consecutively only up to n = r-1. An r that ``root_params`` rejects raises
-    its ValueError."""
+    its ValueError.
+
+    Within the rule no coefficient of the projector, nor its trace, has a pole
+    at the root. Their denominators are products of Chebyshev D_k (d = D_1),
+    so every denominator root is 2cos(j pi/(k+1)), 1 <= j <= k, with
+    k + 1 <= n <= r - 1; 2cos(pi/r) is none of them."""
     root_params(r)
     if 1 <= n <= r - 1:
         return None

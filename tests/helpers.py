@@ -1,6 +1,7 @@
 """Shared test code: seeded random formulas and assignments, the former
 recursive evaluator and printer that the plan walks are checked against, the per-term
-``TLElement`` builder, the Fraction-based writers that the integer JSON
+``TLElement`` builder, the former pairing-based ``compose`` that the involution
+walk is checked against, the Fraction-based writers that the integer JSON
 writers are checked against, the former draw path that eliminates every
 draw, which the draw path is checked against, and the stdlib JSON call that
 ``cli``'s encoder is checked against."""
@@ -17,7 +18,7 @@ from qlat.linalg import _ff_gauss_jordan, _lowest_terms
 from qlat.ratfunc import P_ONE, ip_divexact, ip_gcd, ip_mul
 from qlat.search import _trial_rng
 from qlat.subspace import REDRAW_CAP, Subspace, random_subspace_rng
-from qlat.templieb import TLElement
+from qlat.templieb import PlanarDiagram, TLElement
 
 
 def random_formula(rng: random.Random, names=("p", "q", "r"), depth: int = 5) -> Formula:
@@ -124,6 +125,55 @@ def tl_from_terms(n: int, terms: dict) -> TLElement:
         den = ip_mul(den, ip_divexact(c.iden, ip_gcd(den, c.iden)))
     return TLElement(n, {d: ip_mul(c.inum, ip_divexact(den, c.iden)) for d, c in terms.items()},
                      den)
+
+
+def oracle_compose(top: PlanarDiagram, bottom: PlanarDiagram) -> tuple[PlanarDiagram, int]:
+    """The former ``templieb.compose``: partner arrays rebuilt from the sorted
+    pairings, one walk per half, the result's pairs listed by their smaller
+    point and checked by the ``PlanarDiagram`` constructor."""
+    n = top.n
+    tp, bp = ([0] * (2 * n) for _ in range(2))
+    for partner, diag in ((tp, top), (bp, bottom)):
+        for a, b in diag.pairing:
+            partner[a], partner[b] = b, a
+    visited = [False] * n
+    seen = [False] * (2 * n)
+    pairs = []
+    for start in range(2 * n):
+        if seen[start]:
+            continue
+        # diag 0 walks the bottom diagram, diag 1 the top diagram
+        diag, pt = (0, start) if start < n else (1, start)
+        while True:
+            if diag == 0:
+                nxt = bp[pt]
+                if nxt < n:
+                    end = nxt
+                    break
+                j = nxt - n
+                visited[j] = True
+                diag, pt = 1, j
+            else:
+                nxt = tp[pt]
+                if nxt >= n:
+                    end = nxt
+                    break
+                visited[nxt] = True
+                diag, pt = 0, n + nxt
+        seen[start] = seen[end] = True
+        pairs.append((start, end))
+    loops = 0
+    for j in range(n):
+        if visited[j]:
+            continue
+        loops += 1
+        cur = j
+        while not visited[cur]:
+            visited[cur] = True
+            j2 = tp[cur]
+            visited[j2] = True
+            cur = bp[n + j2] - n
+    return PlanarDiagram(n, pairs), loops
 
 
 def json_oracle(obj) -> str:

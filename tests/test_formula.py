@@ -113,6 +113,15 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_equation("p & q")
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: parse("p < q"), r"expected '<=' \(at position 2\)"),
+        (lambda: parse("p & )"), r"unexpected '\)' \(at position 4\)"),
+        (lambda: Equation(Var("x"), Var("y"), "<"), "relation must be '=' or '<=', got '<'"),
+    ], ids=["lone-less-than", "stray-close", "bad-relation"])
+    def test_input_guards(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
 
 class TestParseDepth:
     # each connective and each parenthesized group is one level

@@ -23,6 +23,7 @@ from qlat.formula import (
 from qlat.search import (
     COUNTEREXAMPLE,
     _draw_assignment,
+    _half_split_triple,
     NO_COUNTEREXAMPLE,
     SeparationCertificate,
     Verdict,
@@ -401,6 +402,17 @@ def _zeros(a):
     return Assignment({name: Subspace.zero(a.ambient) for name in a}, a.ambient)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: falsify(law("modularity"), 0), "ambient dimension must be at least 1"),
+    (lambda: qubit_alpha_separator(-1), "n must be nonnegative"),
+    (lambda: _half_split_triple([[int(i == j) for j in range(3)] for i in range(3)], 3),
+     "an even, nonempty set of vectors is required"),
+], ids=["falsify-ambient-0", "qubit-n-negative", "half-split-odd"])
+def test_input_guards(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 class TestBugGuards:
     """Each "this is a bug" guard fires once the step before it is broken."""
 
@@ -417,6 +429,15 @@ class TestBugGuards:
         with pytest.raises(RuntimeError, match=r"iterated test formula unexpectedly "
                            r"failed in C\^2; this is a bug"):
             qubit_alpha_separator(1, trials=1)
+
+    def test_qubit_level_audit(self, monkeypatch):
+        import qlat.search
+
+        # level 1 = 1 has dimension 1, above the bound 2^0 / 2^1 in C^1
+        monkeypatch.setattr(qlat.search, "alpha_levels", lambda m: [ONE])
+        with pytest.raises(RuntimeError, match=r"level-1 dimension bound violated: "
+                           r"dim 1 in C\^1"):
+            qubit_alpha_separator(0, trials=1)
 
     def test_huhn_holds_side(self, monkeypatch):
         import qlat.search

@@ -217,6 +217,10 @@ class TestRandomSubspace:
         with pytest.raises(ValueError):
             random_subspace(3, 4, seed=0)
 
+    def test_bad_entry_bound(self):
+        with pytest.raises(ValueError, match="entry bound must be at least 1"):
+            random_subspace_rng(random.Random(0), 2, 1, 0)
+
 
 def _fields(s):
     return s.ambient, s.rows, s.den, s.piv, s.rev

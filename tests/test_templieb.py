@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import fraction_tl_to_json, tl_from_terms
+from helpers import fraction_tl_to_json, oracle_compose, tl_from_terms
 from qlat.ratfunc import RF_D, RF_ONE, RationalFunction, ip_reduce
 import qlat.templieb
 from qlat.templieb import (
@@ -69,16 +69,36 @@ class TestPlanarDiagram:
 
     def test_interned_twin_equal_and_hash_equal(self):
         for d in enumerate_diagrams(4):
-            twin = qlat.templieb._interned(d.n, d.pairing)
+            twin = qlat.templieb._interned(d.partner)
             built = PlanarDiagram(d.n, reversed([p[::-1] for p in d.pairing]))
             assert built is not twin
             assert built == twin and hash(built) == hash(twin)
             assert {twin: d}[built] is d
         assert PlanarDiagram.identity(2) != PlanarDiagram.cup_cap(2, 1)
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: PlanarDiagram(-1, []), "strand count must be nonnegative"),
+        (lambda: compose(PlanarDiagram.identity(2), PlanarDiagram.identity(3)),
+         "strand count mismatch: 2 vs 3"),
+        (lambda: chebyshev(-1), "index must be nonnegative"),
+    ], ids=["negative-strands", "compose-mismatch", "chebyshev-negative"])
+    def test_input_guards(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
     def test_closure_loops(self):
         assert closure_loops(PlanarDiagram.identity(2)) == 2
         assert closure_loops(PlanarDiagram.cup_cap(2, 1)) == 1
+
+    @pytest.mark.parametrize("value, text", [
+        (lambda: PlanarDiagram.cup_cap(3, 1), "PlanarDiagram(3, [(0, 1), (2, 5), (3, 4)])"),
+        (lambda: TLElement.zero(2), "TLElement(2, 0)"),
+        # also pins term order: the cup-cap diagram sorts before the identity
+        (lambda: jones_wenzl(2), "((-1)/(d))*PlanarDiagram(2, [(0, 1), (2, 3)])"
+                                 " + (1)*PlanarDiagram(2, [(0, 2), (1, 3)])"),
+    ], ids=["diagram", "zero-element", "projector"])
+    def test_repr(self, value, text):
+        assert repr(value()) == text
 
 
 class TestComposition:
@@ -119,12 +139,28 @@ class TestComposition:
         with pytest.raises(ValueError):
             generator_e(3, 1) * generator_e(4, 1)
 
+    def test_matches_pairing_oracle(self):
+        pairs = [(x, y) for n in range(5) for x in enumerate_diagrams(n)
+                 for y in enumerate_diagrams(n)]
+        rng = random.Random(6)
+        basis = enumerate_diagrams(6)
+        pairs += [(rng.choice(basis), rng.choice(basis)) for _ in range(200)]
+        for x, y in pairs:
+            diag, loops = compose(x, y)
+            want, want_loops = oracle_compose(x, y)
+            assert diag == want and diag.pairing == want.pairing and loops == want_loops
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_involution_order_is_pairing_order(self, n):
+        diagrams = enumerate_diagrams(n)
+        assert diagrams == sorted(diagrams) == sorted(diagrams, key=lambda d: d.pairing)
+
     def test_rejects_nonplanar_result(self):
         # a crossing diagram slipped past PlanarDiagram's own check
         n = 3
         bad = object.__new__(PlanarDiagram)
-        pairs = [(0, n + 1), (1, n)] + [(j, n + j) for j in range(2, n)]
-        bad.n, bad.pairing, bad._partner = n, tuple(pairs), None
+        # pairs (0, 4), (1, 3), (2, 5): bottom 0 to top 4 crosses bottom 1 to top 3
+        bad.n, bad.partner = n, (4, 3, 5, 1, 0, 2)
         with pytest.raises(ValueError, match="planar"):
             compose(bad, PlanarDiagram.identity(n))
 
@@ -477,6 +513,15 @@ class TestRoots:
         assert {d.n for d in jw_at_root(r - 1, r)} == {r - 1}
         with pytest.raises(ValueError):
             jw_at_root(r, r)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_no_pole_within_the_level_rule(self, n):
+        # why no tl command can raise PoleError: see projector_level_error
+        for r in [*range(max(3, n + 1), 41), 10 ** 6]:
+            jw_at_root(n, r)
+            eval_at_root(markov_trace(jones_wenzl(n)), r)
+            if n >= 2:
+                eval_at_root(markov_trace(generator_e(n, 1)), r)
 
     @pytest.mark.parametrize("r", [3, 4, 5])
     def test_numeric_traces_match(self, r):
