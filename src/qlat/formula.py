@@ -20,6 +20,9 @@ Concrete syntax (whitespace insignificant; unicode aliases on input only):
     atom     := "~" atom | "0" | "1" | ident | "(" formula ")"
     ident    := letter { letter | digit | "_" }
 
+``_BINARY`` states the binary connectives once: ``formula`` and ``conj`` are
+one parser rule over its rows; ``to_source`` and ``Plan`` read it too.
+
 Parsed text may nest at most ``MAX_PARSE_DEPTH`` levels: each connective and
 each parenthesized group is one level. Deeper text is a ``ParseError``, so
 the recursive-descent parser cannot exhaust the stack.
@@ -72,6 +75,14 @@ class Or(Formula):
 ZERO = Zero()
 ONE = One()
 
+_VAR, _ZERO, _ONE, _NOT, _AND, _OR = range(6)
+
+# The binary connectives, loosest first: token, node class, plan opcode. A
+# row's index is its binding strength; ~ and the atoms bind tighter than all.
+_BINARY = (("|", Or, _OR), ("&", And, _AND))
+_OPCODE = {cls: op for _, cls, op in _BINARY}
+_STRENGTH = {op: row for row, (_, _, op) in enumerate(_BINARY)}
+
 
 @dataclass(frozen=True, slots=True)
 class Equation:
@@ -104,6 +115,7 @@ class UnboundVariableError(ValueError):
 
 
 _ALIASES = str.maketrans({"∧": "&", "∨": "|", "¬": "~"})
+_ONE_CHAR = "".join(token for token, _, _ in _BINARY) + "~()01="
 
 MAX_PARSE_DEPTH = 128  # the deepest separator at size cap 16 (`separate 8 16`) has 44
 
@@ -116,11 +128,8 @@ def _tokenize(text: str) -> Iterator[tuple[str, str, int]]:
         if c.isspace():
             i += 1
             continue
-        if c in "&|~()01":
+        if c in _ONE_CHAR:
             yield (c, c, i)
-            i += 1
-        elif c == "=":
-            yield ("=", "=", i)
             i += 1
         elif c == "<":
             if i + 1 < n and text[i + 1] == "=":
@@ -162,22 +171,17 @@ class _Parser:
     def too_deep(self, at: int) -> ParseError:
         return ParseError(f"formula nested deeper than {MAX_PARSE_DEPTH} levels", at)
 
-    def formula(self) -> tuple[Formula, int]:
-        node, depth = self.conj()
-        while self.peek()[0] == "|":
+    def formula(self, row: int = 0) -> tuple[Formula, int]:
+        """A left-associative chain of ``_BINARY[row]`` over the rows that
+        bind tighter; past the last row, an atom."""
+        if row == len(_BINARY):
+            return self.atom()
+        token, cls, _ = _BINARY[row]
+        node, depth = self.formula(row + 1)
+        while self.peek()[0] == token:
             at = self.take()[2]
-            right, rdepth = self.conj()
-            node, depth = Or(node, right), 1 + (depth if depth > rdepth else rdepth)
-            if depth > MAX_PARSE_DEPTH:
-                raise self.too_deep(at)
-        return node, depth
-
-    def conj(self) -> tuple[Formula, int]:
-        node, depth = self.atom()
-        while self.peek()[0] == "&":
-            at = self.take()[2]
-            right, rdepth = self.atom()
-            node, depth = And(node, right), 1 + (depth if depth > rdepth else rdepth)
+            right, rdepth = self.formula(row + 1)
+            node, depth = cls(node, right), 1 + (depth if depth > rdepth else rdepth)
             if depth > MAX_PARSE_DEPTH:
                 raise self.too_deep(at)
         return node, depth
@@ -295,14 +299,11 @@ def _coerce_assignment(assignment, ambient=None) -> Assignment:
     return Assignment(assignment, ambient)
 
 
-_VAR, _ZERO, _ONE, _NOT, _AND, _OR = range(6)
-
-
 class Plan:
     """The walk of one or more formulas: ``nodes``, their distinct nodes in
-    topological order, children first; ``steps``, per node its connective
-    and a variable's name or its children's plan positions; and ``roots``,
-    the plan positions of the given formulas.
+    topological order, children first; ``steps``, per node its opcode and a
+    variable's name or its children's positions; ``roots``, the positions of
+    the given formulas; and ``variables``, their sorted variable names.
 
     An explicit-stack walk, left child before right, builds it, so its order
     is that of a memoized recursive walk and no formula depth reaches the
@@ -311,7 +312,7 @@ class Plan:
     printer and the rewrites loop over its ``steps`` the same way.
     """
 
-    __slots__ = ("nodes", "steps", "roots")
+    __slots__ = ("nodes", "steps", "roots", "variables")
 
     def __init__(self, *roots: Formula):
         pos: dict[int, int] = {}
@@ -325,7 +326,7 @@ class Plan:
                     stack.pop()
                     continue
                 t = type(n)
-                kids = (n.left, n.right) if t is And or t is Or else (n.child,) if t is Not else ()
+                kids = (n.left, n.right) if t in _OPCODE else (n.child,) if t is Not else ()
                 todo = [k for k in kids if id(k) not in pos]
                 if todo:
                     stack.extend(reversed(todo))
@@ -337,8 +338,8 @@ class Plan:
                     step = (_ZERO if t is Zero else _ONE, None, None)
                 elif t is Not:
                     step = (_NOT, pos[id(n.child)], None)
-                elif t is And or t is Or:
-                    step = (_AND if t is And else _OR, pos[id(n.left)], pos[id(n.right)])
+                elif t in _OPCODE:
+                    step = (_OPCODE[t], pos[id(n.left)], pos[id(n.right)])
                 else:
                     raise TypeError(f"not a formula node: {t.__name__}")
                 pos[id(n)] = len(nodes)
@@ -346,6 +347,7 @@ class Plan:
                 steps.append(step)
         self.nodes, self.steps = nodes, steps
         self.roots = tuple(pos[id(r)] for r in roots)
+        self.variables = tuple(sorted({n.name for n in nodes if type(n) is Var}))
 
     def run(self, assignment) -> list[Subspace]:
         """The value of every node, in plan order: & is meet, | is join, ~ is
@@ -380,7 +382,7 @@ def evaluate_with_cache(f: Formula, assignment) -> tuple[Subspace, dict[int, Sub
 
 
 def evaluate(f: Formula, assignment) -> Subspace:
-    return evaluate_with_cache(f, assignment)[0]
+    return Plan(f).run(assignment)[-1]
 
 
 def evaluate_equation(eq: Equation, assignment,
@@ -412,10 +414,6 @@ def _plan_of(node: Union[Formula, Equation]) -> Plan:
     return Plan(node.lhs, node.rhs) if isinstance(node, Equation) else Plan(node)
 
 
-# Binding strength per plan connective: | 1, & 2, ~ 3, atoms 4.
-_PREC = {_VAR: 4, _ZERO: 4, _ONE: 4, _NOT: 3, _AND: 2, _OR: 1}
-
-
 def to_source(node: Union[Formula, Equation]) -> str:
     """Minimal-parenthesization source text; parse(to_source(f)) == f."""
     plan = _plan_of(node)
@@ -427,15 +425,15 @@ def to_source(node: Union[Formula, Equation]) -> str:
         elif op == _ZERO or op == _ONE:
             text = "0" if op == _ZERO else "1"
         elif op == _NOT:
-            text = f"~({texts[x]})" if _PREC[steps[x][0]] < 3 else f"~{texts[x]}"
+            text = f"~({texts[x]})" if steps[x][0] in _STRENGTH else f"~{texts[x]}"
         else:
-            p = _PREC[op]
+            p = _STRENGTH[op]
             left, right = texts[x], texts[y]
-            if _PREC[steps[x][0]] < p:
+            if _STRENGTH.get(steps[x][0], p + 1) < p:
                 left = f"({left})"
-            if _PREC[steps[y][0]] <= p:
+            if _STRENGTH.get(steps[y][0], p + 1) <= p:
                 right = f"({right})"
-            text = f"{left} {'&' if op == _AND else '|'} {right}"
+            text = f"{left} {_BINARY[p][0]} {right}"
         texts.append(text)
     if isinstance(node, Equation):
         return f"{texts[plan.roots[0]]} {node.relation} {texts[plan.roots[1]]}"
@@ -443,7 +441,7 @@ def to_source(node: Union[Formula, Equation]) -> str:
 
 
 def free_vars(node: Union[Formula, Equation]) -> set[str]:
-    return {x for op, x, _ in _plan_of(node).steps if op == _VAR}
+    return set(_plan_of(node).variables)
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +496,7 @@ def restrict(f: Formula, beta: Formula) -> Formula:
         elif op == _ZERO:
             out = n
         else:
-            out = (And if op == _AND else Or)(outs[x], outs[y])
+            out = type(n)(outs[x], outs[y])
         outs.append(out)
     return outs[-1]
 

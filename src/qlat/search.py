@@ -25,7 +25,6 @@ from .formula import (
     ONE,
     Plan,
     ZERO,
-    _VAR,
     _coerce_assignment,
     alpha,
     alpha_levels,
@@ -76,6 +75,9 @@ class Verdict:
             raise ValueError("witness must be present iff a counterexample was found")
         if (self.witness is None) != (self.witness_gap is None):
             raise ValueError("witness and witness_gap must be present together")
+        if self.witness is not None and any(
+                s.ambient != self.ambient_dim for s in (self.witness, *self.witness_gap)):
+            raise ValueError(f"witness and witness_gap must live in C^{self.ambient_dim}")
 
 
 @dataclass(frozen=True)
@@ -95,6 +97,11 @@ class SeparationCertificate:
             raise ValueError("fails_witness must carry a counterexample")
         if self.holds_evidence.status != NO_COUNTEREXAMPLE:
             raise ValueError("holds_evidence must report no counterexample")
+        if not self.holds_evidence.equation == self.fails_witness.equation == self.separator:
+            raise ValueError("both verdicts must carry the separator")
+        if (self.holds_evidence.ambient_dim, self.fails_witness.ambient_dim) != (
+                self.low_dim, self.high_dim):
+            raise ValueError("holds_evidence must be at low_dim and fails_witness at high_dim")
 
 
 def _coerce_equation(eq) -> Equation:
@@ -154,10 +161,9 @@ def falsify(eq, ambient_dim: int, trials: int = DEFAULT_TRIALS, seed: int = 0, *
     if entry_bound < 1:
         raise ValueError("entry bound must be at least 1")
     plan = Plan(eq.lhs, eq.rhs)
-    eq_vars = tuple(sorted({x for op, x, _ in plan.steps if op == _VAR}))
     with_nodes = audit is not None and "nodes" in inspect.signature(audit).parameters
     for t in range(trials):
-        a = _draw_assignment(eq_vars, ambient_dim, seed, t, entry_bound)
+        a = _draw_assignment(plan.variables, ambient_dim, seed, t, entry_bound)
         nodes = {} if with_nodes else None
         holds, lv, rv = run_equation(eq, plan, a, nodes)
         if with_nodes:

@@ -1,10 +1,11 @@
-"""Shared test code: seeded random formulas and assignments, the former
-recursive evaluator and printer that the plan walks are checked against, the per-term
-``TLElement`` builder, the former pairing-based ``compose`` that the involution
-walk is checked against, the Fraction-based writers that the integer JSON
-writers are checked against, the former draw path that eliminates every
-draw, which the draw path is checked against, and the stdlib JSON call that
-``cli``'s encoder is checked against."""
+"""Shared test code: seeded random formulas, shared formula DAGs and
+assignments, the former recursive evaluator and printer that the plan walks
+are checked against, the per-term ``TLElement`` builder, the former
+pairing-based ``compose`` that the involution walk is checked against, the
+Fraction-based writers that the integer JSON writers are checked against,
+the former draw path that eliminates every draw, which the draw path is
+checked against, and the stdlib JSON call that ``cli``'s encoder is checked
+against."""
 
 from __future__ import annotations
 
@@ -39,6 +40,19 @@ def random_formula(rng: random.Random, names=("p", "q", "r"), depth: int = 5) ->
     if roll < 0.95:
         return Var(rng.choice(names))
     return ZERO if roll < 0.975 else ONE
+
+
+def random_dag(rng: random.Random, names, size: int) -> list:
+    """A pool of formula nodes: a few ``random_formula`` trees, then ``size``
+    connectives whose children are drawn from the pool, so nodes are shared."""
+    pool = [random_formula(rng, names, depth=rng.randint(0, 3)) for _ in range(3)]
+    for _ in range(size):
+        roll = rng.random()
+        if roll < 0.25:
+            pool.append(Not(rng.choice(pool)))
+        else:
+            pool.append((And if roll < 0.6 else Or)(rng.choice(pool), rng.choice(pool)))
+    return pool
 
 
 def random_assignment(rng: random.Random, names, ambient: int,

@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qlat.formula
-from helpers import oracle_evaluate, oracle_source, random_assignment, random_formula
+from helpers import (oracle_evaluate, oracle_source, random_assignment, random_dag,
+                     random_formula)
 from qlat.formula import (
     MAX_PARSE_DEPTH,
     And,
@@ -225,19 +226,6 @@ class TestEvaluate:
         assert not holds and lv == P and rv == Q
 
 
-def random_dag(rng, names, size: int) -> list:
-    """A pool of formula nodes: a few ``random_formula`` trees, then ``size``
-    connectives whose children are drawn from the pool, so nodes are shared."""
-    pool = [random_formula(rng, names, depth=rng.randint(0, 3)) for _ in range(3)]
-    for _ in range(size):
-        roll = rng.random()
-        if roll < 0.25:
-            pool.append(Not(rng.choice(pool)))
-        else:
-            pool.append((And if roll < 0.6 else Or)(rng.choice(pool), rng.choice(pool)))
-    return pool
-
-
 def _form(v: Subspace):
     return v.ambient, v.rev, v.den, v.rows, v.piv
 
@@ -270,6 +258,19 @@ class TestEvaluationPlan:
         assert nodes.keys() == {**lcache, **rcache}.keys()
         got = run_equation(eq, Plan(eq.lhs, eq.rhs), a)
         assert (got[0], _form(got[1]), _form(got[2])) == (holds, _form(lv), _form(rv))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 25), st.integers(0, 2 ** 32 - 1))
+    def test_variables_are_the_sorted_free_vars(self, size, seed):
+        # against free_vars and against a walk of the nodes that owes the
+        # plan nothing
+        rng = random.Random(seed)
+        pool = random_dag(rng, ("p", "q", "r", "s"), size)
+        f, g = pool[-1], rng.choice(pool)
+        for plan, node, roots in ((Plan(f), f, [f]),
+                                  (Plan(f, g), Equation(f, g), [f, g])):
+            names = {n.name for n in walk_nodes(roots) if type(n) is Var}
+            assert plan.variables == tuple(sorted(free_vars(node))) == tuple(sorted(names))
 
     def test_plan_lists_distinct_nodes_children_first(self):
         f = alpha_levels(2)[-1]
@@ -675,15 +676,20 @@ def tree_restrict(f, beta):
     return go(tree_nnf(f))
 
 
-def distinct_nodes(f) -> int:
-    seen, stack = set(), [f]
+def walk_nodes(roots) -> list:
+    """The distinct nodes reachable from ``roots``, by node id."""
+    seen, stack = {}, list(roots)
     while stack:
         n = stack.pop()
         if id(n) not in seen:
-            seen.add(id(n))
+            seen[id(n)] = n
             stack.extend(getattr(n, slot) for slot in ("child", "left", "right")
                          if hasattr(n, slot))
-    return len(seen)
+    return list(seen.values())
+
+
+def distinct_nodes(f) -> int:
+    return len(walk_nodes([f]))
 
 
 class TestSharedWalks:

@@ -177,6 +177,14 @@ class TestFalsify:
         with pytest.raises(ValueError):
             Verdict(COUNTEREXAMPLE, law("modularity"), 2, 1, 0)
 
+    def test_verdict_gap_lives_in_its_ambient(self):
+        v = falsify(law("distributivity"), 2, 500, seed=3)
+        assert v.status == COUNTEREXAMPLE
+        blob = verdict_to_json(v)
+        blob["gap"]["lhs"] = subspace_to_json(span([[1, 0, 0]], 3))
+        with pytest.raises(ValueError, match=r"must live in C\^2"):
+            verdict_from_json(blob)
+
 
 class TestStructuredWitness:
     @pytest.mark.parametrize("m", [2, 4, 6, 8])
@@ -370,6 +378,11 @@ class TestSeparateDims:
         with pytest.raises(ValueError):
             SeparationCertificate(1, 2, good.separator, good.holds_evidence,
                                   good.holds_evidence)
+        c = separate_dims(2, 3, seed=0, holds_trials=20)
+        with pytest.raises(ValueError, match="carry the separator"):
+            SeparationCertificate(2, 3, law("modularity"), c.holds_evidence, c.fails_witness)
+        with pytest.raises(ValueError, match="at low_dim"):
+            SeparationCertificate(5, 9, c.separator, c.holds_evidence, c.fails_witness)
 
 
 class TestLift:
