@@ -12,9 +12,10 @@ distinct composed diagram is built, and checked for planarity, once.
 
 The generators e_i carry coefficient 1/d on the cup-cap diagram U_i, so that
 e_i^2 = e_i, e_i e_{i+-1} e_i = e_i / d^2, and far-apart generators commute.
-Jones-Wenzl projectors are built by the standard recursion and verified with
-n - 1 products before being returned: identity coefficient 1, equal to their
-top-bottom reflection, and p U_i = 0, which imply U_i p = 0 and p p = p. The
+Jones-Wenzl projectors are built by the single-clasp expansion, whose every
+product is with one cup-cap diagram, and verified with n - 1 such products
+before being returned: identity coefficient 1, equal to their top-bottom
+reflection, and p U_i = 0, which imply U_i p = 0 and p p = p. The
 Markov trace of a basis diagram is d^(loops of its circular closure minus n),
 normalized so the identity traces to 1.
 """
@@ -375,6 +376,17 @@ def chebyshev(n: int) -> ChebyshevPoly:
     return ChebyshevPoly(n, ip_sub((0,) + chebyshev(n - 1).coeffs, chebyshev(n - 2).coeffs))
 
 
+def _times_diagram(nums: dict, diag: PlanarDiagram) -> dict:
+    """The numerators of x * diag for an element x with numerators ``nums``,
+    over x's denominator: one composition per term, shifted by its loop
+    count, summed per result diagram, zero sums dropped and nothing reduced."""
+    out: dict = {}
+    for dx, a in nums.items():
+        d, loops = compose(dx, diag)
+        out[d] = ip_add(out.get(d, P_ZERO), (0,) * loops + a)
+    return {d: a for d, a in out.items() if a}
+
+
 def _verify_jones_wenzl(p: TLElement, n: int):
     """Prove the characterization with n - 1 products and no p p: (i) p != 0,
     identity coefficient 1; (ii) p = p*; (iii) p U_i = 0 for i = 1..n-1. Then
@@ -386,25 +398,38 @@ def _verify_jones_wenzl(p: TLElement, n: int):
         raise JonesWenzlError(f"projector at n={n} has identity coefficient != 1")
     if p.adjoint() != p:
         raise JonesWenzlError(f"projector at n={n} is not self-adjoint")
+    # p.den is nonzero, so p U_i = 0 exactly when every numerator vanishes
     for i in range(1, n):
-        if not (p * diagram_generator(n, i)).is_zero():
+        if _times_diagram(p.nums, PlanarDiagram.cup_cap(n, i)):
             raise JonesWenzlError(f"projector at n={n} is not annihilated by U_{i}")
 
 
 @lru_cache(maxsize=None)
 def jones_wenzl(n: int) -> TLElement:
     """The unique nonzero idempotent killed by every generator, built by the
-    recursion p_{k+1} = p_k - (D_{k-1}/D_k) p_k U_k p_k on the raw diagrams and
-    returned only once ``_verify_jones_wenzl`` has proved it."""
+    single-clasp expansion on the raw diagrams
+
+        p_n = p' + sum_{i=1}^{n-1} (-1)^(n-i) ([i]/[n]) p' U_{n-1} U_{n-2} ... U_i,
+
+    with p' = include(p_{n-1}) and the quantum integer [k] = D_{k-1}(d) for
+    loop value d. Each summand is the one before it times one cup-cap
+    diagram, so the level is summed over p'.den D_{n-1} and reduced once. It
+    is returned only once ``_verify_jones_wenzl`` has proved it."""
     if n < 1:
         raise ValueError("strand count must be at least 1")
     if n == 1:
         p = TLElement.identity(1)
     else:
         prev = include(jones_wenzl(n - 1))
-        u = diagram_generator(n, n - 1)
-        ratio = chebyshev(n - 2).as_rational_function() / chebyshev(n - 1).as_rational_function()
-        p = prev - (prev * u * prev) * ratio
+        top = chebyshev(n - 1).coeffs
+        out = {d: ip_mul(a, top) for d, a in prev.nums.items()}
+        term = prev.nums
+        for i in range(n - 1, 0, -1):
+            term = _times_diagram(term, PlanarDiagram.cup_cap(n, i))
+            c = ip_mul(chebyshev(i - 1).coeffs, ((-1) ** (n - i),))
+            for d, a in term.items():
+                out[d] = ip_add(out.get(d, P_ZERO), ip_mul(a, c))
+        p = TLElement(n, out, ip_mul(prev.den, top))
     _verify_jones_wenzl(p, n)
     return p
 

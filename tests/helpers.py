@@ -1,6 +1,7 @@
 """Shared test code: seeded random formulas, shared formula DAGs and
 assignments, the former recursive evaluator and printer that the plan walks
-are checked against, the per-term ``TLElement`` builder, the former
+are checked against, the per-term ``TLElement`` builder, the two-sided
+Wenzl recursion that the Jones-Wenzl expansion is checked against, the former
 pairing-based ``compose`` that the involution walk is checked against, the
 Fraction-based writers that the integer JSON writers are checked against,
 the former draw path that eliminates every draw, which the draw path is
@@ -19,7 +20,7 @@ from qlat.linalg import _ff_gauss_jordan, _lowest_terms
 from qlat.ratfunc import P_ONE, ip_divexact, ip_gcd, ip_mul
 from qlat.search import _trial_rng
 from qlat.subspace import REDRAW_CAP, Subspace, random_subspace_rng
-from qlat.templieb import PlanarDiagram, TLElement
+from qlat.templieb import PlanarDiagram, TLElement, chebyshev, diagram_generator, include
 
 
 def random_formula(rng: random.Random, names=("p", "q", "r"), depth: int = 5) -> Formula:
@@ -139,6 +140,18 @@ def tl_from_terms(n: int, terms: dict) -> TLElement:
         den = ip_mul(den, ip_divexact(c.iden, ip_gcd(den, c.iden)))
     return TLElement(n, {d: ip_mul(c.inum, ip_divexact(den, c.iden)) for d, c in terms.items()},
                      den)
+
+
+def oracle_jones_wenzl(n: int) -> TLElement:
+    """The former ``templieb.jones_wenzl`` build, unverified: the Wenzl
+    recursion p_n = p' - (D_{n-2}/D_{n-1}) p' U_{n-1} p' with p' the included
+    level n - 1, through full ``TLElement`` products."""
+    p = TLElement.identity(1)
+    for k in range(2, n + 1):
+        prev = include(p)
+        ratio = chebyshev(k - 2).as_rational_function() / chebyshev(k - 1).as_rational_function()
+        p = prev - (prev * diagram_generator(k, k - 1) * prev) * ratio
+    return p
 
 
 def oracle_compose(top: PlanarDiagram, bottom: PlanarDiagram) -> tuple[PlanarDiagram, int]:

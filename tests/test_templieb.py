@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import fraction_tl_to_json, oracle_compose, tl_from_terms
+from helpers import fraction_tl_to_json, oracle_compose, oracle_jones_wenzl, tl_from_terms
 from qlat.ratfunc import RF_D, RF_ONE, RationalFunction, ip_reduce
 import qlat.templieb
 from qlat.templieb import (
@@ -29,6 +29,7 @@ from qlat.templieb import (
     jones_wenzl,
     jw_at_root,
     markov_trace,
+    _times_diagram,
     _verify_jones_wenzl,
     root_params,
     tl_to_json,
@@ -337,6 +338,12 @@ class TestJonesWenzl:
         with pytest.raises(ValueError):
             jones_wenzl(0)
 
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_matches_wenzl_recursion(self, n):
+        p, oracle = jones_wenzl(n), oracle_jones_wenzl(n)
+        assert p == oracle
+        assert p.nums == oracle.nums and p.den == oracle.den
+
     def test_included_projector_absorbed(self):
         # p_{n} * inc(p_{n-1}) = p_n, a standard consequence of the recursion
         for n in (2, 3, 4):
@@ -344,6 +351,20 @@ class TestJonesWenzl:
             prev = include(jones_wenzl(n - 1))
             assert pn * prev == pn
             assert prev * pn == pn
+
+
+class TestTimesDiagram:
+    """The one-diagram product against the full product it replaces."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), st.integers(1, 5))
+    def test_matches_product(self, data, n):
+        x = data.draw(elements(n))
+        cups = [PlanarDiagram.cup_cap(n, i) for i in range(1, n)]
+        basis = data.draw(st.sampled_from(enumerate_diagrams(n)))
+        for u in cups + [basis]:
+            assert TLElement(n, _times_diagram(x.nums, u), x.den) == \
+                x * TLElement.from_diagram(u)
 
 
 class TestAdjoint:
@@ -396,7 +417,7 @@ def corrupted(n: int) -> dict:
 
 
 class TestVerifier:
-    @pytest.mark.parametrize("n", range(3, 6))
+    @pytest.mark.parametrize("n", range(3, 7))
     def test_rejects_each_corruption(self, n):
         for check, x in corrupted(n).items():
             assert x.adjoint() == x or check == "self-adjoint"
@@ -414,20 +435,29 @@ class TestVerifier:
                     verify_by_products(x, n)
 
     def test_composition_budget(self, monkeypatch):
-        # cold jones_wenzl(5): 470 compositions; verifying with p * p took 2682
-        count = [0]
+        # cold jones_wenzl(5) by the single-clasp expansion: 298 compositions
+        # and no element product; the two-sided recursion took 470, and
+        # verifying with p * p 2682
+        count, products = [0], [0]
+        mul = TLElement.__mul__
 
         def counted(top, bottom):
             count[0] += 1
             return compose(top, bottom)
 
+        def product(x, y):
+            products[0] += 1
+            return mul(x, y)
+
         monkeypatch.setattr(qlat.templieb, "compose", counted)
+        monkeypatch.setattr(TLElement, "__mul__", product)
         jones_wenzl.cache_clear()
         try:
             jones_wenzl(5)
         finally:
             jones_wenzl.cache_clear()
-        assert 0 < count[0] <= 600
+        assert 0 < count[0] <= 310
+        assert products[0] == 0
 
 
 class TestMarkovTrace:
