@@ -383,9 +383,13 @@ def audit_invariants(assignment, ambient_dim: int | None = None) -> dict:
 
 
 def verdict_to_json(v: Verdict) -> dict:
+    return _verdict_json(v, to_source(v.equation))
+
+
+def _verdict_json(v: Verdict, equation: str) -> dict:
     out = {
         "status": v.status,
-        "equation": to_source(v.equation),
+        "equation": equation,
         "ambient": v.ambient_dim,
         "trials": v.trials_run,
         "seed": v.seed,
@@ -416,10 +420,12 @@ def verdict_from_json(obj: dict) -> Verdict:
 
 
 def certificate_to_json(c: SeparationCertificate) -> dict:
+    # both verdicts carry the separator, so one text serves all three
+    text = to_source(c.separator)
     return {
         "low_dim": c.low_dim,
         "high_dim": c.high_dim,
-        "separator": to_source(c.separator),
-        "holds_evidence": verdict_to_json(c.holds_evidence),
-        "fails_witness": verdict_to_json(c.fails_witness),
+        "separator": text,
+        "holds_evidence": _verdict_json(c.holds_evidence, text),
+        "fails_witness": _verdict_json(c.fails_witness, text),
     }

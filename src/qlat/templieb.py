@@ -7,15 +7,17 @@ diagrams with coefficients in the field of rational functions in the loop
 parameter d; multiplication stacks diagrams (x * y puts x above y) and each
 closed loop contributes a factor d. An element is held as integer-polynomial
 numerators over one common denominator, and ``TLElement(n, nums, den)``, the
-one constructor, takes that form and reduces it, once per operation. Each
-distinct composed diagram is built, and checked for planarity, once.
+one constructor, takes that form and reduces it, once per operation. A
+product x y sums the one-diagram products x D, scaled by D's numerator, over
+y's diagrams D; each distinct composed diagram is built, and checked for
+planarity, once.
 
 The generators e_i carry coefficient 1/d on the cup-cap diagram U_i, so that
 e_i^2 = e_i, e_i e_{i+-1} e_i = e_i / d^2, and far-apart generators commute.
 Jones-Wenzl projectors are built by the single-clasp expansion, whose every
-product is with one cup-cap diagram, and verified with n - 1 such products
-before being returned: identity coefficient 1, equal to their top-bottom
-reflection, and p U_i = 0, which imply U_i p = 0 and p p = p. The
+product is with one cup-cap diagram, and verified on their numerators before
+being returned: the identity's equals the denominator, reflection keeps them,
+and n - 1 one-diagram products give p U_i = 0; so U_i p = 0 and p p = p. The
 Markov trace of a basis diagram is d^(loops of its circular closure minus n),
 normalized so the identity traces to 1.
 """
@@ -29,7 +31,6 @@ from functools import lru_cache
 from .ratfunc import (
     P_ONE,
     P_ZERO,
-    RF_ONE,
     RF_ZERO,
     RationalFunction,
     coeffs_to_json,
@@ -291,25 +292,13 @@ class TLElement:
             return NotImplemented
         if self.n != other.n:
             raise ValueError("strand count mismatch")
-        # Diagram products contribute d^loops * Nx * Ny over den_x * den_y.
-        # For each dx the shifted Ny are summed per result diagram first, so
-        # there is one polynomial product per (dx, result), and one reduction.
+        # x y is the sum over y's diagrams D of the one-diagram product x D
+        # times D's numerator: one polynomial product per (D, result), all
+        # over den_x * den_y, and one reduction.
         out: dict = {}
-        ys = list(other.nums.items())
-        for dx, nx in self.nums.items():
-            row: dict = {}
-            for dy, ny in ys:
-                diag, loops = compose(dx, dy)
-                acc = row.get(diag)
-                if acc is None:
-                    acc = row[diag] = []
-                short = loops + len(ny) - len(acc)
-                if short > 0:
-                    acc.extend([0] * short)
-                for j, b in enumerate(ny, loops):
-                    acc[j] += b
-            for diag, acc in row.items():
-                out[diag] = ip_add(out.get(diag, P_ZERO), ip_mul(nx, acc))
+        for dy, ny in other.nums.items():
+            for diag, a in _times_diagram(self.nums, dy).items():
+                out[diag] = ip_add(out.get(diag, P_ZERO), ip_mul(a, ny))
         return TLElement(self.n, out, ip_mul(self.den, other.den))
 
     def adjoint(self) -> "TLElement":
@@ -339,12 +328,17 @@ def generator_e(n: int, i: int) -> TLElement:
 
 def include(x: TLElement) -> TLElement:
     """The inclusion into one more strand: append a through-strand on the right."""
+    return TLElement(x.n + 1, _included(x), x.den)
+
+
+def _included(x: TLElement) -> dict:
+    """include(x)'s numerators over x.den, canonical when x's are."""
     n = x.n
     out = {}
     for diag, a in x.nums.items():
         p = [q if q < n else q + 1 for q in diag.partner]
         out[_interned((*p[:n], 2 * n + 1, *p[n:], n))] = a
-    return TLElement(n + 1, out, x.den)
+    return out
 
 
 @dataclass(frozen=True)
@@ -391,12 +385,14 @@ def _verify_jones_wenzl(p: TLElement, n: int):
     """Prove the characterization with n - 1 products and no p p: (i) p != 0,
     identity coefficient 1; (ii) p = p*; (iii) p U_i = 0 for i = 1..n-1. Then
     U_i p = (p U_i)* = 0, as U_i* = U_i. A non-identity diagram D has an adjacent
-    top cap, so D = U_i D' and p D = 0; with p = 1 + sum c_D D, that is p p = p."""
+    top cap, so D = U_i D' and p D = 0; with p = 1 + sum c_D D, that is p p = p.
+    (i) and (ii) read numerators: the identity's is p.den, and each diagram's is
+    its reflection's, which is p = p* as reflection is a bijection keeping den."""
     if p.is_zero():
         raise JonesWenzlError(f"projector at n={n} is zero")
-    if p.identity_coefficient() != RF_ONE:
+    if p.nums.get(PlanarDiagram.identity(n)) != p.den:
         raise JonesWenzlError(f"projector at n={n} has identity coefficient != 1")
-    if p.adjoint() != p:
+    if not all(p.nums.get(d.reflect()) == a for d, a in p.nums.items()):
         raise JonesWenzlError(f"projector at n={n} is not self-adjoint")
     # p.den is nonzero, so p U_i = 0 exactly when every numerator vanishes
     for i in range(1, n):
@@ -411,19 +407,20 @@ def jones_wenzl(n: int) -> TLElement:
 
         p_n = p' + sum_{i=1}^{n-1} (-1)^(n-i) ([i]/[n]) p' U_{n-1} U_{n-2} ... U_i,
 
-    with p' = include(p_{n-1}) and the quantum integer [k] = D_{k-1}(d) for
-    loop value d. Each summand is the one before it times one cup-cap
-    diagram, so the level is summed over p'.den D_{n-1} and reduced once. It
-    is returned only once ``_verify_jones_wenzl`` has proved it."""
+    with p' the included p_{n-1}, read off its numerators without a reduction,
+    and the quantum integer [k] = D_{k-1}(d) for loop value d. Each summand is
+    the one before it times one cup-cap diagram, so the level is summed over
+    p_{n-1}.den D_{n-1} and reduced once. It is returned only once
+    ``_verify_jones_wenzl`` has proved it."""
     if n < 1:
         raise ValueError("strand count must be at least 1")
     if n == 1:
         p = TLElement.identity(1)
     else:
-        prev = include(jones_wenzl(n - 1))
+        prev = jones_wenzl(n - 1)
         top = chebyshev(n - 1).coeffs
-        out = {d: ip_mul(a, top) for d, a in prev.nums.items()}
-        term = prev.nums
+        term = _included(prev)
+        out = {d: ip_mul(a, top) for d, a in term.items()}
         for i in range(n - 1, 0, -1):
             term = _times_diagram(term, PlanarDiagram.cup_cap(n, i))
             c = ip_mul(chebyshev(i - 1).coeffs, ((-1) ** (n - i),))

@@ -557,3 +557,21 @@ class TestVerdictJson:
         assert set(blob) == {"low_dim", "high_dim", "separator",
                              "holds_evidence", "fails_witness"}
         json.dumps(blob)
+
+    def test_certificate_prints_separator_once(self, monkeypatch):
+        # both verdicts carry the separator, so one text serves all three
+        import qlat.search
+
+        cert = separate_dims(2, 3, holds_trials=5)
+        printer, printed = qlat.search.to_source, []
+
+        def counted(node):
+            printed.append(node)
+            return printer(node)
+
+        monkeypatch.setattr(qlat.search, "to_source", counted)
+        blob = certificate_to_json(cert)
+        assert printed == [cert.separator]
+        assert blob["separator"] == printer(cert.separator)
+        for key in ("holds_evidence", "fails_witness"):
+            assert blob[key] == verdict_to_json(getattr(cert, key))

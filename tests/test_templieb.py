@@ -1,8 +1,11 @@
 """Diagram algebra: planar matchings, generator relations, projectors, traces."""
 
+import ast
+import collections
 import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +13,7 @@ from hypothesis import strategies as st
 
 from helpers import fraction_tl_to_json, oracle_compose, oracle_jones_wenzl, tl_from_terms
 from qlat.ratfunc import RF_D, RF_ONE, RationalFunction, ip_reduce
+import qlat.ratfunc
 import qlat.templieb
 from qlat.templieb import (
     ChebyshevPoly,
@@ -354,7 +358,8 @@ class TestJonesWenzl:
 
 
 class TestTimesDiagram:
-    """The one-diagram product against the full product it replaces."""
+    """The one-diagram product, the kernel of every element product, against
+    the per-term oracle."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.data(), st.integers(1, 5))
@@ -363,8 +368,18 @@ class TestTimesDiagram:
         cups = [PlanarDiagram.cup_cap(n, i) for i in range(1, n)]
         basis = data.draw(st.sampled_from(enumerate_diagrams(n)))
         for u in cups + [basis]:
-            assert TLElement(n, _times_diagram(x.nums, u), x.den) == \
-                x * TLElement.from_diagram(u)
+            TestCommonDenominatorOracle.assert_same(
+                TLElement(n, _times_diagram(x.nums, u), x.den), ref_mul(x.terms, {u: RF_ONE}))
+
+    def test_only_kernel_composes(self):
+        # element products, the projector build and its verifier all compose
+        # diagrams through _times_diagram
+        tree = ast.parse(Path(qlat.templieb.__file__).read_text())
+        callers = {f.name for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+                   for node in ast.walk(f)
+                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                   and node.func.id == "compose"}
+        assert callers == {"_times_diagram"}
 
 
 class TestAdjoint:
@@ -435,29 +450,33 @@ class TestVerifier:
                     verify_by_products(x, n)
 
     def test_composition_budget(self, monkeypatch):
-        # cold jones_wenzl(5) by the single-clasp expansion: 298 compositions
-        # and no element product; the two-sided recursion took 470, and
+        # cold jones_wenzl(5) by the single-clasp expansion: 298 compositions,
+        # no element product, and one reduction per level, as neither the
+        # included previous level nor the verifier's checks are rebuilt as
+        # elements; the two-sided recursion took 470 compositions, and
         # verifying with p * p 2682
-        count, products = [0], [0]
-        mul = TLElement.__mul__
+        calls = collections.Counter()
 
-        def counted(top, bottom):
-            count[0] += 1
-            return compose(top, bottom)
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
 
-        def product(x, y):
-            products[0] += 1
-            return mul(x, y)
-
-        monkeypatch.setattr(qlat.templieb, "compose", counted)
-        monkeypatch.setattr(TLElement, "__mul__", product)
+        monkeypatch.setattr(qlat.templieb, "compose", counted("compose", compose))
+        monkeypatch.setattr(qlat.templieb, "include", counted("include", include))
+        for owner in (qlat.templieb, qlat.ratfunc):
+            monkeypatch.setattr(owner, "ip_reduce", counted("ip_reduce", ip_reduce))
+        for name in ("__mul__", "adjoint"):
+            monkeypatch.setattr(TLElement, name, counted(name, getattr(TLElement, name)))
         jones_wenzl.cache_clear()
         try:
             jones_wenzl(5)
         finally:
             jones_wenzl.cache_clear()
-        assert 0 < count[0] <= 310
-        assert products[0] == 0
+        assert 0 < calls["compose"] <= 310
+        assert calls["ip_reduce"] == 5
+        assert calls["__mul__"] == calls["adjoint"] == calls["include"] == 0
 
 
 class TestMarkovTrace:
