@@ -30,46 +30,80 @@ the recursive-descent parser cannot exhaust the stack.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Union
 
 from .subspace import Subspace, subspace_from_json, subspace_to_json
 
 
 class Formula:
+    """A formula node. Its hash is taken once, at construction, from its
+    type and its parts (a name or the children's stored hashes), and ``==``
+    is an explicit-stack walk that skips identical pairs of nodes, so neither
+    recurses, whatever the depth. ``repr`` recurses."""
+
     __slots__ = ()
 
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash(
+            (type(self), *[getattr(self, part) for part in self.__match_args__])))
 
-@dataclass(frozen=True, slots=True)
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if not isinstance(other, Formula):
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            x, y = stack.pop()
+            if x is y:
+                continue
+            if type(x) is not type(y) or x._hash != y._hash:
+                return False
+            for part in x.__match_args__:
+                a, b = getattr(x, part), getattr(y, part)
+                if isinstance(a, Formula):
+                    stack.append((a, b))
+                elif a != b:
+                    return False
+        return True
+
+
+@dataclass(frozen=True, slots=True, eq=False)
 class Var(Formula):
     name: str
+    _hash: int = field(init=False, repr=False)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Zero(Formula):
-    pass
+    _hash: int = field(init=False, repr=False)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class One(Formula):
-    pass
+    _hash: int = field(init=False, repr=False)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Not(Formula):
     child: Formula
+    _hash: int = field(init=False, repr=False)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class And(Formula):
     left: Formula
     right: Formula
+    _hash: int = field(init=False, repr=False)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Or(Formula):
     left: Formula
     right: Formula
+    _hash: int = field(init=False, repr=False)
 
 
 ZERO = Zero()
@@ -155,6 +189,7 @@ class _Parser:
         self.tokens = list(_tokenize(text))
         self.pos = 0
         self.open = 0
+        self.vars: dict[str, Var] = {}  # one node per name: parsed leaves are shared
 
     def peek(self):
         return self.tokens[self.pos]
@@ -189,7 +224,9 @@ class _Parser:
     def atom(self) -> tuple[Formula, int]:
         kind, value, at = self.take()
         if kind == "ident":
-            return Var(value), 0
+            if value not in self.vars:
+                self.vars[value] = Var(value)
+            return self.vars[value], 0
         if kind in ("~", "("):
             self.open += 1
             if self.open > MAX_PARSE_DEPTH:

@@ -10,13 +10,17 @@ unique per subspace and equality within one orientation is syntactic.
 
 The kernel rows that ``linalg._null_rows`` reads off one orientation are, with
 no gcd, the orthocomplement's form in the other orientation (matroid duality,
-see the README design notes), so ortho makes no elimination. Join eliminates
-the stacked rows once, forward. Meet is the De Morgan dual ~(~a | ~b): it
-eliminates the rows of the two free orthocomplements once, in reverse column
-order, and the ortho of that reverse form is the forward meet. leq reduces rows
-against either orientation; == across orientations is leq at equal dimension;
-tensor_embed places the operand's rows: none eliminates. hash, basis and JSON
-read the forward form, which a reverse value derives with one elimination.
+see the README design notes), so ortho makes no elimination. Join reduces the
+rows of the smaller operand against the echelon form of the larger one A (the
+left operand on a tie), as leq does, and eliminates only the residual rows,
+at most the smaller dimension, in A's orientation; the result is in A's
+orientation, and is A itself when nothing is left. Meet is the De Morgan dual
+~(~a | ~b): it still stacks the rows of the two free orthocomplements and
+eliminates them once, in reverse column order, and the ortho of that reverse
+form is the forward meet. leq reduces rows against either orientation; ==
+across orientations is leq at equal dimension; tensor_embed places the
+operand's rows: none eliminates. hash, basis and JSON read the forward form,
+which a reverse value derives with one elimination.
 
 An atom (a line) or a coatom (a hyperplane) decides a join or meet by one
 leq, the covering law of the atomistic lattice: for an atom p, p & x is p if
@@ -49,6 +53,7 @@ from .linalg import (
     _canonical,
     _canonical_boxed,
     _int_row,
+    _lowest_terms,
     _null_rows,
     _rational_matrix,
     entry_from_json,
@@ -187,13 +192,18 @@ class Subspace:
     def join(self, other: "Subspace") -> "Subspace":
         """Span of the union: decided by one leq when an operand is a coatom,
         or an atom contained in the other (module docstring), the full space
-        when the stacked rows have rank n mod p, else one elimination."""
+        when the stacked rows have rank n mod p, else by reducing the rows of
+        the operand of smaller dimension against the echelon form of the
+        larger one, A (self on a tie), and eliminating only the nonzero
+        residuals (``_join_by_reduction``). The result is in A's orientation,
+        and is A itself when the other operand is contained in it. No operand
+        is brought forward."""
         self._check_ambient(other)
         n, ds, do = self.ambient, len(self.rows), len(other.rows)
-        if ds == 0 or do == n:
-            return other
         if do == 0 or ds == n:
             return self
+        if ds == 0 or do == n:
+            return other
         if ds == n - 1 or do == n - 1:
             h, x = (self, other) if ds == n - 1 else (other, self)
             return h if x.leq(h) else Subspace.full(n)
@@ -204,7 +214,7 @@ class Subspace:
         rows = self.rows + other.rows
         if len(rows) >= n and rank_mod_p(rows, n) == n:
             return Subspace.full(n)
-        return Subspace(n, *_canonical([list(r) for r in rows], n))
+        return _join_by_reduction(other, self) if do > ds else _join_by_reduction(self, other)
 
     def ortho(self) -> "Subspace":
         """Orthogonal complement: all v with <b, v> = sum conj(b_i) v_i = 0,
@@ -247,6 +257,55 @@ class Subspace:
             v[slice(j, None, f) if side == "right" else slice(j * n, (j + 1) * n)] = row
             rows.append(tuple(v))
         return Subspace(n * f, tuple(rows), self.den, tuple(c for c, _, _ in placed), self.rev)
+
+
+def _join_by_reduction(a: Subspace, b: Subspace) -> Subspace:
+    """The join of two canonical forms, dim a >= dim b, in a's orientation.
+
+    Each row v of b becomes ``den_a·v - Σ_k v[pc_k]·a_k``, which is 0 on a's
+    pivots (leq's reduction; any spanning rows of b will do). If every
+    residual is 0, b <= a and the join is a. Otherwise only the nonzero
+    residuals, at most dim b rows, are eliminated, in a's orientation, to R
+    over ``den_R`` with pivots pr_j. Then each ``den_R·a_k - Σ_j a_k[pr_j]·R_j``
+    and each ``den_a·R_j``, over ``den_a·den_R``, has that value on its own
+    pivot and 0 on every other, and is 0 before (reverse: after) its pivot,
+    as a_k and R_j are: merged in pivot order, they are the join's echelon
+    form, and one gcd makes it canonical."""
+    n, den, cols = a.ambient, a.den, range(a.ambient)
+    free = [c for c in cols if c not in a.piv]
+    res = []
+    for row in b.rows:
+        v = _reduced(row, den, [(row[pc], arow) for pc, arow in zip(a.piv, a.rows)], free, n)
+        if v.count((0, 0)) < n:
+            res.append(v[::-1] if a.rev else v)
+    if not res:
+        return a
+    rnum, rden, rpiv = _canonical(res, n)
+    if a.rev:
+        rnum = [r[::-1] for r in reversed(rnum)]
+        rpiv = [n - 1 - c for c in reversed(rpiv)]
+    merged = [(pr, _reduced(r, den, (), cols, n)) for pr, r in zip(rpiv, rnum)]
+    for pc, arow in zip(a.piv, a.rows):
+        terms = [(arow[pr], r) for pr, r in zip(rpiv, rnum) if arow[pr] != (0, 0)]
+        merged.append((pc, _reduced(arow, rden, terms, cols, n)))
+    merged.sort()  # pivots are distinct, so only they are compared
+    num, den = _lowest_terms([r for _, r in merged], den * rden)
+    return Subspace(n, num, den, tuple(pc for pc, _ in merged), a.rev)
+
+
+def _reduced(row, scale, terms, cols, n: int) -> list:
+    """``scale·row - Σ x·r`` over the ``(x, r)`` of ``terms``, on the columns
+    ``cols`` of C^n and 0 elsewhere, for rows of ``(re, im)`` integer pairs."""
+    v = [(0, 0)] * n
+    for c in cols:
+        re, im = row[c]
+        re, im = scale * re, scale * im
+        for (x, y), r in terms:
+            p, q = r[c]
+            re -= x * p - y * q
+            im -= x * q + y * p
+        v[c] = (re, im)
+    return v
 
 
 @lru_cache(maxsize=None)

@@ -5,8 +5,9 @@ Wenzl recursion that the Jones-Wenzl expansion is checked against, the former
 pairing-based ``compose`` that the involution walk is checked against, the
 Fraction-based writers that the integer JSON writers are checked against,
 the former draw path that eliminates every draw, which the draw path is
-checked against, and the stdlib JSON call that ``cli``'s encoder is checked
-against."""
+checked against, the former join by stacked elimination, which the join by
+reduction is checked against, and the stdlib JSON call that ``cli``'s
+encoder is checked against."""
 
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from fractions import Fraction
 
 from qlat.formula import (And, Assignment, Equation, Formula, Not, ONE, One, Or,
                           UnboundVariableError, Var, ZERO, Zero)
-from qlat.linalg import _ff_gauss_jordan, _lowest_terms
+from qlat.linalg import _canonical, _ff_gauss_jordan, _lowest_terms
 from qlat.ratfunc import P_ONE, ip_divexact, ip_gcd, ip_mul
 from qlat.search import _trial_rng
 from qlat.subspace import REDRAW_CAP, Subspace, random_subspace_rng
@@ -267,3 +268,10 @@ def oracle_draw_assignment(eq_vars, ambient: int, seed: int, trial: int,
         d = rng.randint(0, ambient)
         subs[name] = oracle_random_subspace_rng(rng, ambient, d, entry_bound)
     return Assignment(subs, ambient)
+
+
+def stacked_join(a: Subspace, b: Subspace) -> Subspace:
+    """The former ``Subspace.join`` past its covering-law and mod-p
+    shortcuts: both operands' rows stacked and eliminated once, forward."""
+    n = a.ambient
+    return Subspace(n, *_canonical([list(r) for r in a.rows + b.rows], n))

@@ -90,6 +90,11 @@ class TestParse:
         leq = parse("p <= q")
         assert leq.relation == "<="
 
+    def test_one_leaf_per_name(self):
+        eq = parse("p & q = p | ~q")
+        assert eq.lhs.left is eq.rhs.left and eq.lhs.right is eq.rhs.right.child
+        assert eq.lhs.left is not eq.lhs.right
+
     def test_unicode_aliases(self):
         assert parse("p ∧ q") == parse("p & q")
         assert parse("p ∨ q") == parse("p | q")
@@ -309,6 +314,33 @@ class TestEvaluationPlan:
         v = falsify(Equation(f, ZERO), 2, 2)
         if v.witness is not None:
             assert evaluate(f, v.witness) == v.witness_gap[0] != Subspace.zero(2)
+
+
+class TestNodeEquality:
+    """A node's hash is stored at construction and == walks an explicit
+    stack, so neither reaches the recursion limit."""
+
+    def test_deep_chains_compare_and_hash(self):
+        # built in code, not parsed: 10^5 levels, far past the recursion limit
+        def chain(bottom):
+            f, y = Var(bottom), Var("y")
+            for _ in range(10 ** 5):
+                f = And(f, y)
+            return f
+
+        a, b, c = chain("x"), chain("x"), chain("z")
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a != c and not (a == c)
+        assert {a: 1}[b] == 1
+        assert Equation(a, ZERO) == Equation(b, ZERO)
+        assert hash(Equation(a, ZERO)) == hash(Equation(b, ZERO))
+
+    def test_structure_decides(self):
+        x, y = Var("x"), Var("y")
+        assert And(x, y) == And(Var("x"), Var("y")) and Not(ZERO) == Not(ZERO)
+        assert And(x, y) != Or(x, y) and And(x, y) != And(y, x) and ZERO != ONE
+        assert Var("x") != "x" and Not(x) != Not(y)
+        assert repr(And(x, Not(ONE))) == "And(left=Var(name='x'), right=Not(child=One()))"
 
 
 def test_lattice_values_leave_no_cyclic_garbage():

@@ -33,7 +33,7 @@ from qlat.subspace import (
     subspace_to_json,
 )
 
-from helpers import fraction_entry_to_json, oracle_random_subspace_rng
+from helpers import fraction_entry_to_json, oracle_random_subspace_rng, stacked_join
 
 X_AXIS = span([[1, 0]], 2)
 Y_AXIS = span([[0, 1]], 2)
@@ -707,6 +707,95 @@ class TestTwoOrientations:
                 # a & b = ~(~a | ~b), from the oracle orthocomplements already built
                 meet = _oracle_ortho(_oracle_join(perp[i], perp[j]))
                 assert subspace_to_json(x & y) == _oracle_json(n, meet)
+
+
+@pytest.fixture
+def eliminated_rows(monkeypatch):
+    """The row count of each call to ``subspace._canonical``."""
+    calls = []
+    exact = qlat.subspace._canonical
+
+    def counted(rows, ncols):
+        calls.append(len(rows))
+        return exact(rows, ncols)
+
+    monkeypatch.setattr(qlat.subspace, "_canonical", counted)
+    return calls
+
+
+RELATIONS = ["generic", "overlap", "y<=x", "x<=y"]
+
+
+def _related_pair(rng, n, relation):
+    """Two subspaces x, y of C^n: independent draws, sharing some of x's
+    rows, or one spanned by random combinations of the other's rows."""
+    if relation == "overlap":
+        return _overlapping_pair(rng, n, 2)
+    x = random_subspace_rng(rng, n, rng.randint(0, n), 2)
+    if relation == "generic":
+        return x, random_subspace_rng(rng, n, rng.randint(0, n), 2)
+    rows = [list(r) for r in x.basis.entries]
+    coeffs = [[rng.randint(-2, 2) for _ in rows] for _ in range(rng.randint(0, len(rows)))]
+    sub = span([[sum((r[j] * c for r, c in zip(rows, cs)), GaussianRational(0))
+                 for j in range(n)] for cs in coeffs], n)
+    return (x, sub) if relation == "y<=x" else (sub, x)
+
+
+class TestJoinByReduction:
+    """join reduces the rows of the smaller operand against the echelon form
+    of the larger one A (x on a tie) and eliminates only the nonzero
+    residuals, in A's orientation. The former stacked elimination and the
+    boxed row space decide every result; the unchanged meet must agree with
+    the new join through De Morgan."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 10), st.sampled_from(RELATIONS), st.booleans(), st.booleans(),
+           st.integers(0, 2 ** 32 - 1))
+    def test_matches_stacked_elimination(self, n, relation, flip_x, flip_y, seed):
+        rng = random.Random(seed)
+        x, y = _related_pair(rng, n, relation)
+        x, y = _flip(x) if flip_x else x, _flip(y) if flip_y else y
+        j, want = x | y, stacked_join(x, y)
+        assert j == want and want == j
+        f = j._forward()
+        assert (f.rows, f.den, f.piv) == (want.rows, want.den, want.piv)
+        assert subspace_to_json(j) == _oracle_json(n, _oracle_join(x.basis, y.basis))
+        a = y if y.dim > x.dim else x
+        assert j.rev == (a.rev and 0 < j.dim < n)
+        if relation in ("y<=x", "x<=y"):
+            assert j is a
+
+    @pytest.mark.parametrize("n", [4, 7, 10, 16])
+    def test_eliminates_at_most_the_smaller_operand(self, n, eliminated_rows, monkeypatch):
+        forwards = []
+        exact_forward = Subspace._forward
+        monkeypatch.setattr(Subspace, "_forward", lambda v: forwards.append(v) or exact_forward(v))
+        rng = random.Random(n)
+        uncertified = 0
+        for relation in RELATIONS:
+            for _ in range(40):
+                x, y = _related_pair(rng, n, relation)
+                x, y = (_flip(v) if rng.random() < 0.5 else v for v in (x, y))
+                eliminated_rows.clear()
+                forwards.clear()
+                j = x | y
+                assert forwards == []
+                assert len(eliminated_rows) <= 1 and sum(eliminated_rows) <= min(x.dim, y.dim)
+                if relation in ("y<=x", "x<=y"):
+                    assert eliminated_rows == [] and j is (y if y.dim > x.dim else x)
+                uncertified += bool(eliminated_rows)
+        assert uncertified > 0
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 10), st.sampled_from(RELATIONS), st.booleans(), st.booleans(),
+           st.integers(0, 2 ** 32 - 1))
+    def test_de_morgan(self, n, relation, flip_x, flip_y, seed):
+        rng = random.Random(seed)
+        x, y = _related_pair(rng, n, relation)
+        x, y = _flip(x) if flip_x else x, _flip(y) if flip_y else y
+        m, d = x & y, ~(~x | ~y)
+        assert m == d and d == m and hash(m) == hash(d)
+        assert ~(x | y) == (~x & ~y)
 
 
 class TestNoReElimination:
