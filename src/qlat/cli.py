@@ -50,7 +50,7 @@ from .search import (
 )
 from .linalg import int_from_json
 from .subspace import DEFAULT_ENTRY_BOUND, subspace_to_json
-from .ratfunc import RF_D
+from .ratfunc import RF_D, RationalFunction
 from .templieb import (
     chebyshev,
     eval_at_root,
@@ -272,8 +272,7 @@ def _tl_jw(args) -> tuple[dict, int]:
             return {"error": error}, EXIT_FOUND
     p = jones_wenzl(n)
     trace = markov_trace(p)
-    expected = chebyshev(n).as_rational_function() / (
-        chebyshev(1).as_rational_function() ** n)
+    expected = RationalFunction(chebyshev(n).coeffs, (0,) * n + (1,))  # D_n(d) / d^n
     report = {
         "n": n,
         "projector": tl_to_json(p),

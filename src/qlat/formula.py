@@ -1,8 +1,10 @@
 """Propositional formulas over the subspace lattice.
 
 Connectives are meet (&), join (|) and orthocomplement (~), plus the bounds
-0 and 1. Formulas are immutable DAGs: generated families (the distribution
-test formula, its iterates, the m-distributive law) share subformulas.
+0 and 1. Formulas are immutable DAGs with one node per distinct formula
+(hash-consing), so ``==`` is identity, and generated families (the iterated
+distribution test formula, the m-distributive law) and parsed text alike
+share subformulas: ``parse(to_source(f)) is f``.
 
 Every walk is one pass over a ``Plan``: the distinct nodes of one or more
 formulas in topological order, built by an explicit-stack walk, so no formula
@@ -30,80 +32,82 @@ the recursive-descent parser cannot exhaust the stack.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import weakref
+from dataclasses import dataclass
 from typing import Iterator, Mapping, Union
 
 from .subspace import Subspace, subspace_from_json, subspace_to_json
 
 
 class Formula:
-    """A formula node. Its hash is taken once, at construction, from its
-    type and its parts (a name or the children's stored hashes), and ``==``
-    is an explicit-stack walk that skips identical pairs of nodes, so neither
-    recurses, whatever the depth. ``repr`` recurses."""
+    """A formula node, hash-consed: constructing a node returns the one live
+    node of its class with the same parts (a name, or the same child
+    objects), so equal formulas are one object and ``==`` and ``hash`` are
+    identity. ``copy``, ``deepcopy`` and pickle rebuild through the
+    constructor. Like the rest of qlat, construction is single-threaded."""
 
-    __slots__ = ()
+    __slots__ = ("__weakref__",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash(
-            (type(self), *[getattr(self, part) for part in self.__match_args__])))
+    def __new__(cls, *parts, **named):
+        if named:
+            parts += tuple(named[k] for k in cls.__match_args__[len(parts):] if k in named)
+        return _NODES.setdefault((cls, *parts), super().__new__(cls))
 
-    def __hash__(self):
-        return self._hash
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, k) for k in self.__match_args__)
 
-    def __eq__(self, other):
-        if not isinstance(other, Formula):
-            return NotImplemented
-        stack = [(self, other)]
+    def __repr__(self):
+        """The dataclass text, ``And(left=Var(name='x'), right=...)``, written
+        by one explicit-stack walk, so a formula of any depth prints."""
+        out, stack = [], [self]
         while stack:
-            x, y = stack.pop()
-            if x is y:
+            item = stack.pop()
+            if type(item) is str:
+                out.append(item)
                 continue
-            if type(x) is not type(y) or x._hash != y._hash:
-                return False
-            for part in x.__match_args__:
-                a, b = getattr(x, part), getattr(y, part)
-                if isinstance(a, Formula):
-                    stack.append((a, b))
-                elif a != b:
-                    return False
-        return True
+            todo = [f"{type(item).__name__}("]
+            for i, k in enumerate(item.__match_args__):
+                part, sep = getattr(item, k), ", " if i else ""
+                todo += [f"{sep}{k}=", part if isinstance(part, Formula) else repr(part)]
+            stack += reversed(todo + [")"])
+        return "".join(out)
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+# The live nodes by class and parts. A key holds only its node's own
+# children, and an entry goes with its node, so the table keeps no node alive.
+_NODES = weakref.WeakValueDictionary()
+
+
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Var(Formula):
     name: str
-    _hash: int = field(init=False, repr=False)
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Zero(Formula):
-    _hash: int = field(init=False, repr=False)
+    pass
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class One(Formula):
-    _hash: int = field(init=False, repr=False)
+    pass
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Not(Formula):
     child: Formula
-    _hash: int = field(init=False, repr=False)
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class And(Formula):
     left: Formula
     right: Formula
-    _hash: int = field(init=False, repr=False)
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Or(Formula):
     left: Formula
     right: Formula
-    _hash: int = field(init=False, repr=False)
 
 
 ZERO = Zero()
@@ -189,7 +193,6 @@ class _Parser:
         self.tokens = list(_tokenize(text))
         self.pos = 0
         self.open = 0
-        self.vars: dict[str, Var] = {}  # one node per name: parsed leaves are shared
 
     def peek(self):
         return self.tokens[self.pos]
@@ -224,9 +227,7 @@ class _Parser:
     def atom(self) -> tuple[Formula, int]:
         kind, value, at = self.take()
         if kind == "ident":
-            if value not in self.vars:
-                self.vars[value] = Var(value)
-            return self.vars[value], 0
+            return Var(value), 0
         if kind in ("~", "("):
             self.open += 1
             if self.open > MAX_PARSE_DEPTH:
@@ -249,6 +250,8 @@ class _Parser:
             return ONE, 0
         if kind == ")":
             raise ParseError("unbalanced parentheses: unexpected ')'", at)
+        if kind == "end":
+            raise ParseError("unexpected end of input", at)
         raise ParseError(f"unexpected token {value!r}", at)
 
 
@@ -256,7 +259,7 @@ def parse(text: str) -> Union[Formula, Equation]:
     """Parse a formula, or an equation when '=' / '<=' is present."""
     p = _Parser(text)
     lhs, _ = p.formula()
-    kind, _, at = p.peek()
+    kind, value, at = p.peek()
     if kind in ("=", "<="):
         p.take()
         rhs, _ = p.formula()
@@ -265,7 +268,7 @@ def parse(text: str) -> Union[Formula, Equation]:
             raise ParseError(f"unexpected token {value2!r} after equation", at2)
         return Equation(lhs, rhs, kind)
     if kind != "end":
-        raise ParseError(f"unexpected token after formula", at)
+        raise ParseError(f"unexpected token {value!r} after formula", at)
     return lhs
 
 
@@ -452,7 +455,7 @@ def _plan_of(node: Union[Formula, Equation]) -> Plan:
 
 
 def to_source(node: Union[Formula, Equation]) -> str:
-    """Minimal-parenthesization source text; parse(to_source(f)) == f."""
+    """Minimal-parenthesization source text; parse(to_source(f)) is f."""
     plan = _plan_of(node)
     steps = plan.steps
     texts: list[str] = []
@@ -517,9 +520,7 @@ def restrict(f: Formula, beta: Formula) -> Formula:
     After normalizing ``f``, each variable u becomes u & beta and each negated
     variable ~u becomes ~(u & beta) & beta, the complement within beta. The
     constant 1 restricts to beta and 0 to 0, which keeps the evaluation of the
-    result contained in the evaluation of beta unconditionally. The same
-    ``beta`` node is shared at every substitution site, and so is the one
-    u & beta node of each variable object.
+    result contained in the evaluation of beta unconditionally.
     """
     plan = Plan(to_nnf(f))
     outs: list[Formula] = []

@@ -24,10 +24,12 @@ which a reverse value derives with one elimination.
 
 An atom (a line) or a coatom (a hyperplane) decides a join or meet by one
 leq, the covering law of the atomistic lattice: for an atom p, p & x is p if
-p <= x and 0 otherwise, and p | x is x if p <= x; for a coatom h, x | h is h
-if x <= h and the whole space otherwise, and x & h is x if x <= h. Each result
-is an operand or the shared zero or full space, already canonical in its own
-orientation, so none eliminates. In C^2 every proper subspace is both.
+p <= x and 0 otherwise; for a coatom h, x | h is h if x <= h and the whole
+space otherwise, and x & h is x if x <= h. Each result is an operand or the
+shared zero or full space, already canonical in its own orientation, so none
+eliminates. In C^2 every proper subspace is both. An atom p <= x needs no
+join case of its own: the join's reduction of p against x leaves nothing and
+returns x itself, with no elimination.
 
 Otherwise, before eliminating, join and meet try a certificate: the rank of
 the stacked rows modulo one prime (``linalg.rank_mod_p``), a lower bound on
@@ -190,13 +192,13 @@ class Subspace:
                         tuple(n - 1 - c for c in reversed(piv)), True).ortho()
 
     def join(self, other: "Subspace") -> "Subspace":
-        """Span of the union: decided by one leq when an operand is a coatom,
-        or an atom contained in the other (module docstring), the full space
-        when the stacked rows have rank n mod p, else by reducing the rows of
-        the operand of smaller dimension against the echelon form of the
-        larger one, A (self on a tie), and eliminating only the nonzero
-        residuals (``_join_by_reduction``). The result is in A's orientation,
-        and is A itself when the other operand is contained in it. No operand
+        """Span of the union: decided by one leq when an operand is a coatom
+        (module docstring), the full space when the stacked rows have rank n
+        mod p, else by reducing the rows of the operand of smaller dimension
+        against the echelon form of the larger one, A (self on a tie), and
+        eliminating only the nonzero residuals (``_join_by_reduction``). The
+        result is in A's orientation, and is A itself, with no elimination,
+        when the other operand (an atom, say) is contained in it. No operand
         is brought forward."""
         self._check_ambient(other)
         n, ds, do = self.ambient, len(self.rows), len(other.rows)
@@ -207,10 +209,6 @@ class Subspace:
         if ds == n - 1 or do == n - 1:
             h, x = (self, other) if ds == n - 1 else (other, self)
             return h if x.leq(h) else Subspace.full(n)
-        if do == 1 and other.leq(self):
-            return self
-        if ds == 1 and self.leq(other):
-            return other
         rows = self.rows + other.rows
         if len(rows) >= n and rank_mod_p(rows, n) == n:
             return Subspace.full(n)

@@ -1,7 +1,9 @@
 """Formula language: parser, printer, NNF, evaluation, restriction, generators."""
 
 import ast
+import copy
 import gc
+import pickle
 import random
 import sys
 import time
@@ -123,7 +125,13 @@ class TestParse:
         (lambda: parse("p < q"), r"expected '<=' \(at position 2\)"),
         (lambda: parse("p & )"), r"unexpected '\)' \(at position 4\)"),
         (lambda: Equation(Var("x"), Var("y"), "<"), "relation must be '=' or '<=', got '<'"),
-    ], ids=["lone-less-than", "stray-close", "bad-relation"])
+        (lambda: parse("x &"), r"^unexpected end of input \(at position 3\)$"),
+        (lambda: parse("x = "), r"^unexpected end of input \(at position 4\)$"),
+        (lambda: parse("~"), r"^unexpected end of input \(at position 1\)$"),
+        (lambda: parse("x y"), r"^unexpected token 'y' after formula \(at position 2\)$"),
+        (lambda: parse("x = y z"), r"^unexpected token 'z' after equation \(at position 6\)$"),
+    ], ids=["lone-less-than", "stray-close", "bad-relation", "truncated-and",
+            "truncated-equation", "lone-not", "after-formula", "after-equation"])
     def test_input_guards(self, build, message):
         with pytest.raises(ValueError, match=message):
             build()
@@ -317,8 +325,8 @@ class TestEvaluationPlan:
 
 
 class TestNodeEquality:
-    """A node's hash is stored at construction and == walks an explicit
-    stack, so neither reaches the recursion limit."""
+    """Nodes are hash-consed: structurally equal formulas are one object, so
+    == and hash are identity and no comparison walks a formula."""
 
     def test_deep_chains_compare_and_hash(self):
         # built in code, not parsed: 10^5 levels, far past the recursion limit
@@ -329,7 +337,7 @@ class TestNodeEquality:
             return f
 
         a, b, c = chain("x"), chain("x"), chain("z")
-        assert a is not b and a == b and hash(a) == hash(b)
+        assert a is b and a == b and hash(a) == hash(b)
         assert a != c and not (a == c)
         assert {a: 1}[b] == 1
         assert Equation(a, ZERO) == Equation(b, ZERO)
@@ -341,6 +349,33 @@ class TestNodeEquality:
         assert And(x, y) != Or(x, y) and And(x, y) != And(y, x) and ZERO != ONE
         assert Var("x") != "x" and Not(x) != Not(y)
         assert repr(And(x, Not(ONE))) == "And(left=Var(name='x'), right=Not(child=One()))"
+
+    def test_deep_chain_repr(self):
+        # repr walks an explicit stack, so any depth prints
+        f, y = Var("x"), Var("y")
+        for _ in range(10 ** 5):
+            f = And(f, y)
+        assert repr(f) == ("And(left=" * 10 ** 5 + "Var(name='x')"
+                           + ", right=Var(name='y'))" * 10 ** 5)
+
+    def test_generated_formulas_are_one_object(self):
+        assert alpha_levels(5)[-1] is alpha_levels(5)[-1]
+        f = alpha_levels(4)[-1]
+        g = parse(to_source(f))
+        assert g is f and len(Plan(g).nodes) == 88
+
+    @pytest.mark.parametrize("rebuild", [
+        copy.copy, copy.deepcopy, lambda f: pickle.loads(pickle.dumps(f)),
+        lambda f: And(left=f.left, right=f.right), lambda f: And(f.left, right=f.right),
+    ], ids=["copy", "deepcopy", "pickle", "keywords", "mixed"])
+    def test_rebuilt_node_is_the_interned_one(self, rebuild):
+        x, y = Var("x"), Var("y")
+        f = And(x, Not(y))
+        assert rebuild(f) is f
+        assert (f.left, f.right.child, x.name, y.name) == (x, y, "x", "y")
+        # every live node sits under the key of its own class and parts
+        for key, node in list(qlat.formula._NODES.items()):
+            assert key == (type(node), *[getattr(node, k) for k in node.__match_args__])
 
 
 def test_lattice_values_leave_no_cyclic_garbage():
