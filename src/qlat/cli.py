@@ -2,8 +2,9 @@
 
 Every command is scriptable and deterministic: JSON output is byte-identical
 for identical configuration (stable key order, seeds always recorded), and
-the human-readable mode renders the same data. Each subcommand declares only
-the flags it reads (``build_parser``), so any other flag is a usage error.
+the human-readable mode renders the same data. ``COMMANDS`` gives each
+subcommand its help, handler and flags (only those it reads); ``main`` builds
+the named command's parser alone, the full tree (``build_parser``) otherwise.
 A command returns ``(report, exit_code)``: a dict, or the source text that
 ``alpha`` and ``mdist`` print. ``main`` alone writes: it stamps a dict with
 ``version`` and ``seed``, writes it through ``emit`` (text through ``print``),
@@ -310,69 +311,68 @@ def _tl_trace(args) -> tuple[dict, int]:
     return report, EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    # Two flag groups; each subcommand takes the groups and flags it reads.
-    report = argparse.ArgumentParser(add_help=False)
-    report.add_argument("--seed", type=int, default=0, help="RNG seed (recorded in output)")
-    report.add_argument("--json", action="store_true", help="machine-readable output")
-    sampling = argparse.ArgumentParser(add_help=False)
-    sampling.add_argument("--trials", type=int, default=DEFAULT_TRIALS,
-                          help="number of sampled evaluations")
-    sampling.add_argument("--entry-bound", type=int, default=DEFAULT_ENTRY_BOUND,
-                          help="max |re|, |im| of random Gaussian-integer entries")
+# Flag groups, spliced into the commands that read them. A row is an
+# argument's name and its add_argument keywords.
+_REPORT = (("--seed", dict(type=int, default=0, help="RNG seed (recorded in output)")),
+           ("--json", dict(action="store_true", help="machine-readable output")))
+_SAMPLING = (("--trials", dict(type=int, default=DEFAULT_TRIALS,
+                               help="number of sampled evaluations")),
+             ("--entry-bound", dict(type=int, default=DEFAULT_ENTRY_BOUND,
+                                    help="max |re|, |im| of random Gaussian-integer entries")))
+_DIM = ("--dim", dict(type=int, help="ambient dimension (required)"))
+_M = ("m", dict(type=int))
+# name -> (help, handler, *argument rows). A handler looks its cmd_* function
+# up when called, so a caller that patches one sees the call.
+COMMANDS = {
+    "eval": ("evaluate a formula at an assignment file", lambda a: cmd_eval(a), *_REPORT,
+             ("formula", {}), ("assignment", dict(help="JSON file mapping variable -> subspace")),
+             ("--dim", dict(type=int, help="ambient dimension (default: the file's)"))),
+    "check-law": ("falsification search for a catalog law or a formula",
+                  lambda a: cmd_check(a, _resolve_check_target), *_REPORT, *_SAMPLING,
+                  ("target", dict(help="law name, formula, or equation")), _DIM),
+    "falsify": ("falsification search for an equation or formula",
+                lambda a: cmd_check(a, parse), *_REPORT, *_SAMPLING,
+                ("target", dict(help="equation or formula source text")), _DIM),
+    "separate": ("separation certificate for two ambient dimensions",
+                 lambda a: cmd_separate(a), *_REPORT, *_SAMPLING, _M, ("n", dict(type=int))),
+    "alpha": ("print the m-fold iterated distribution test formula", lambda a: cmd_alpha(a), _M),
+    "mdist": ("print the m-distributive law", lambda a: cmd_mdist(a), _M),
+    "tl": ("Temperley-Lieb algebra reports", lambda a: cmd_tl(a), *_REPORT,
+           ("tl_command", dict(choices=["relations", "jw", "trace"])),
+           ("--n", dict(type=int, required=True, help="strand count / projector level")),
+           ("--r", dict(type=int, help="root-of-unity level (jw and trace only)"))),
+}
 
+
+def _command_parser(name: str, parser=None) -> argparse.ArgumentParser:
+    """Command ``name``'s arguments and handler, added to ``parser`` or a new one."""
+    parser = parser or argparse.ArgumentParser(prog=f"qlat {name}")
+    _, handler, *rows = COMMANDS[name]
+    for arg, options in rows:
+        parser.add_argument(arg, **options)
+    parser.set_defaults(func=handler)
+    return parser
+
+
+def build_parser() -> argparse.ArgumentParser:
+    # The full tree; main builds it only when argv names no command.
     parser = argparse.ArgumentParser(
         prog="qlat",
         description="Exact subspace-lattice logic of qubit registers.")
     parser.add_argument("--version", action="version", version=f"qlat {__version__}")
     # prog given, so argparse need not format a usage line to derive it
     sub = parser.add_subparsers(dest="command", required=True, prog="qlat")
-
-    p = sub.add_parser("eval", parents=[report],
-                       help="evaluate a formula at an assignment file")
-    p.add_argument("formula")
-    p.add_argument("assignment", help="JSON file mapping variable -> subspace")
-    p.add_argument("--dim", type=int, help="ambient dimension (default: the file's)")
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("check-law", parents=[report, sampling],
-                       help="falsification search for a catalog law or a formula")
-    p.add_argument("target", help="law name, formula, or equation")
-    p.add_argument("--dim", type=int, help="ambient dimension (required)")
-    p.set_defaults(func=lambda a: cmd_check(a, _resolve_check_target))
-
-    p = sub.add_parser("falsify", parents=[report, sampling],
-                       help="falsification search for an equation or formula")
-    p.add_argument("target", help="equation or formula source text")
-    p.add_argument("--dim", type=int, help="ambient dimension (required)")
-    p.set_defaults(func=lambda a: cmd_check(a, parse))
-
-    p = sub.add_parser("separate", parents=[report, sampling],
-                       help="separation certificate for two ambient dimensions")
-    p.add_argument("m", type=int)
-    p.add_argument("n", type=int)
-    p.set_defaults(func=cmd_separate)
-
-    p = sub.add_parser("alpha", help="print the m-fold iterated distribution test formula")
-    p.add_argument("m", type=int)
-    p.set_defaults(func=cmd_alpha)
-
-    p = sub.add_parser("mdist", help="print the m-distributive law")
-    p.add_argument("m", type=int)
-    p.set_defaults(func=cmd_mdist)
-
-    p = sub.add_parser("tl", parents=[report], help="Temperley-Lieb algebra reports")
-    p.add_argument("tl_command", choices=["relations", "jw", "trace"])
-    p.add_argument("--n", type=int, required=True, help="strand count / projector level")
-    p.add_argument("--r", type=int, help="root-of-unity level (jw and trace only)")
-    p.set_defaults(func=cmd_tl)
-
+    for name, (help_text, *_) in COMMANDS.items():
+        _command_parser(name, sub.add_parser(name, help=help_text))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    if argv and argv[0] in COMMANDS:  # one parser per call: the named command's
+        args = _command_parser(argv[0]).parse_args(argv[1:])
+    else:
+        args = build_parser().parse_args(argv)
     try:
         report, code = args.func(args)
         if isinstance(report, str):

@@ -43,8 +43,10 @@ class Formula:
     """A formula node, hash-consed: constructing a node returns the one live
     node of its class with the same parts (a name, or the same child
     objects), so equal formulas are one object and ``==`` and ``hash`` are
-    identity. ``copy``, ``deepcopy`` and pickle rebuild through the
-    constructor. Like the rest of qlat, construction is single-threaded."""
+    identity. ``copy`` and ``deepcopy`` return the node itself, and pickle
+    stores its ``Plan`` steps, rebuilt through the constructor by
+    ``_from_steps``, so any depth round-trips. Like the rest of qlat,
+    construction is single-threaded."""
 
     __slots__ = ("__weakref__",)
 
@@ -53,8 +55,15 @@ class Formula:
             parts += tuple(named[k] for k in cls.__match_args__[len(parts):] if k in named)
         return _NODES.setdefault((cls, *parts), super().__new__(cls))
 
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
     def __reduce__(self):
-        return type(self), tuple(getattr(self, k) for k in self.__match_args__)
+        # flat: the plan's steps, not nested parts the pickler would recurse into
+        return _from_steps, (Plan(self).steps,)
 
     def __repr__(self):
         """The dataclass text, ``And(left=Var(name='x'), right=...)``, written
@@ -411,6 +420,23 @@ class Plan:
             else:
                 put(Subspace.zero(n) if op == _ZERO else Subspace.full(n))
         return vals
+
+
+def _from_steps(steps) -> Formula:
+    """The last node of a plan's ``steps``, built bottom-up through the
+    interning constructor: pickle's inverse of ``Formula.__reduce__``."""
+    nodes: list[Formula] = []
+    for op, x, y in steps:
+        if op == _VAR:
+            node = Var(x)
+        elif op == _ZERO or op == _ONE:
+            node = ZERO if op == _ZERO else ONE
+        elif op == _NOT:
+            node = Not(nodes[x])
+        else:
+            node = (And if op == _AND else Or)(nodes[x], nodes[y])
+        nodes.append(node)
+    return nodes[-1]
 
 
 def evaluate_with_cache(f: Formula, assignment) -> tuple[Subspace, dict[int, Subspace]]:

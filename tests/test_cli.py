@@ -1,5 +1,6 @@
 """CLI behavior: exit codes, JSON determinism, witness replay."""
 
+import argparse
 import ast
 import collections
 import hashlib
@@ -615,21 +616,120 @@ KEPT_FLAGS = {
 FLAG_MATRIX = [(cmd, flag, flag in KEPT_FLAGS[cmd]) for cmd in BASE_ARGV for flag in FLAG_VALUES]
 
 
+def main_args(monkeypatch, argv):
+    """The namespace that ``main``'s own parser makes of ``argv``: every
+    command function is replaced by one that records its namespace."""
+    seen = []
+    for name in ("cmd_eval", "cmd_check", "cmd_separate", "cmd_alpha", "cmd_mdist", "cmd_tl"):
+        monkeypatch.setattr(qlat.cli, name, lambda args, *_: seen.append(args) or ("", 0))
+    assert main(list(argv)) == 0
+    return seen.pop()
+
+
+# main parses a named command with that command's parser alone; the full tree
+# must agree with it
+PARSERS = {"main": main_args, "tree": lambda _, argv: build_parser().parse_args(argv)}
+
+
 @pytest.mark.parametrize("cmd,flag,kept", FLAG_MATRIX,
                          ids=[f"{c}{f}" for c, f, _ in FLAG_MATRIX])
-def test_flag_matrix(capsys, cmd, flag, kept):
+def test_flag_matrix(capsys, monkeypatch, cmd, flag, kept):
     raw, value = FLAG_VALUES[flag]
     argv = BASE_ARGV[cmd] + [flag] + ([] if raw is None else [raw])
-    if kept:
-        args = build_parser().parse_args(argv)
-        assert getattr(args, flag[2:].replace("-", "_")) == value
-    else:
-        with pytest.raises(SystemExit) as exc:
-            build_parser().parse_args(argv)
-        assert exc.value.code == 2
-        assert "unrecognized arguments" in capsys.readouterr().err
+    for parse_with in PARSERS.values():
+        if kept:
+            args = parse_with(monkeypatch, argv)
+            assert getattr(args, flag[2:].replace("-", "_")) == value
+        else:
+            with pytest.raises(SystemExit) as exc:
+                parse_with(monkeypatch, argv)
+            assert exc.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("cmd", ["check-law", "falsify", "separate"])
-def test_trials_default_in_parser(cmd):
-    assert build_parser().parse_args(BASE_ARGV[cmd]).trials == 1000
+def test_trials_default_in_parser(monkeypatch, cmd):
+    for parse_with in PARSERS.values():
+        assert parse_with(monkeypatch, BASE_ARGV[cmd]).trials == 1000
+
+
+def test_main_builds_one_parser(capsys, monkeypatch):
+    # a task pays for its own command's parser, not the full tree of ten
+    parsers, added = [], []
+    init, add = argparse.ArgumentParser.__init__, argparse.ArgumentParser.add_argument
+
+    def counting_init(self, *a, **k):
+        parsers.append(self)
+        init(self, *a, **k)
+
+    def counting_add(self, *a, **k):
+        added.append((self, a))
+        return add(self, *a, **k)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting_add)
+    assert main(["check-law", "modularity", "--dim", "2", "--trials", "5", "--json"]) == 0
+    assert len(parsers) == 1 and parsers[0].prog == "qlat check-law"
+    assert all(owner is parsers[0] for owner, _ in added)
+    assert [names for _, names in added] == [
+        ("-h", "--help"), ("--seed",), ("--json",), ("--trials",), ("--entry-bound",),
+        ("target",), ("--dim",)]
+
+
+@pytest.mark.parametrize("cmd", list(BASE_ARGV))
+def test_command_help_is_the_subparser_help(capsys, cmd):
+    helps = []
+    for parse in (main, build_parser().parse_args):
+        with pytest.raises(SystemExit) as exc:
+            parse([cmd, "--help"])
+        assert exc.value.code == 0
+        helps.append(capsys.readouterr())
+    assert helps[0] == helps[1]
+    assert helps[0].out.startswith(f"usage: qlat {cmd} [-h]") and helps[0].err == ""
+
+
+@pytest.mark.parametrize("argv,code,stream,text", [
+    (["--help"], 0, "out", "{eval,check-law,falsify,separate,alpha,mdist,tl}"),
+    (["--version"], 0, "out", f"qlat {qlat.__version__}\n"),
+    (["frob"], 2, "err", "qlat: error: argument command: invalid choice: 'frob'"),
+    ([], 2, "err", "qlat: error: the following arguments are required: command\n"),
+], ids=["help", "version", "unknown-command", "empty"])
+def test_top_level_uses_the_full_tree(capsys, argv, code, stream, text):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == code
+    captured = capsys.readouterr()
+    assert text in getattr(captured, stream)
+    if argv == ["--help"]:
+        assert all(f"\n    {cmd} " in captured.out for cmd in BASE_ARGV)
+
+
+def test_unrecognized_flag_names_the_command(capsys):
+    # the command's own parser reports it, not the top-level one
+    with pytest.raises(SystemExit) as exc:
+        main(["check-law", "modularity", "--dim", "2", "--parallel"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: qlat check-law [-h] [--seed SEED]")
+    assert err.endswith("\nqlat check-law: error: unrecognized arguments: --parallel\n")
+
+
+def test_handlers_looked_up_per_call(capsys, monkeypatch):
+    # the command table binds no function at import, so a wrapper installed
+    # on the module afterwards (as perfbench's tracer does) sees every call
+    calls = collections.Counter()
+
+    def counting(name):
+        orig = getattr(qlat.cli, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return orig(*args)
+        monkeypatch.setattr(qlat.cli, name, wrapper)
+
+    for name in ("cmd_check", "cmd_separate", "cmd_tl", "_tl_jw", "emit"):
+        counting(name)
+    assert main(["check-law", "modularity", "--dim", "2", "--trials", "3"]) == 0
+    assert main(["separate", "2", "3", "--trials", "3"]) == 0
+    assert main(["tl", "jw", "--n", "2", "--json"]) == 0
+    assert calls == {"cmd_check": 1, "cmd_separate": 1, "cmd_tl": 1, "_tl_jw": 1, "emit": 3}

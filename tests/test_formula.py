@@ -7,6 +7,7 @@ import pickle
 import random
 import sys
 import time
+import weakref
 from pathlib import Path
 
 import pytest
@@ -357,6 +358,29 @@ class TestNodeEquality:
             f = And(f, y)
         assert repr(f) == ("And(left=" * 10 ** 5 + "Var(name='x')"
                            + ", right=Var(name='y'))" * 10 ** 5)
+
+    def test_deep_chain_copies_and_pickles(self, monkeypatch):
+        # copy and deepcopy return the node without a walk, and pickle stores
+        # the flat plan steps, so none recurses once per level
+        f, y = Var("x"), Var("y")
+        for _ in range(10 ** 5):
+            f = And(f, y)
+        with monkeypatch.context() as m:
+            m.setattr(qlat.formula, "Plan", None)
+            assert copy.copy(f) is f and copy.deepcopy(f) is f
+        for protocol in (2, pickle.HIGHEST_PROTOCOL):
+            assert pickle.loads(pickle.dumps(f, protocol)) is f
+
+    def test_pickle_rebuilds_without_the_original(self):
+        # with no live node to return, loading rebuilds the DAG, each distinct
+        # node once, through the interning constructor
+        f = alpha_levels(4)[-1]
+        blob, gone = pickle.dumps(f), weakref.ref(f)
+        del f
+        assert gone() is None
+        g = pickle.loads(blob)
+        assert len(Plan(g).nodes) == 88 and g is alpha_levels(4)[-1]
+        assert pickle.loads(pickle.dumps(m_distributive(3))) == m_distributive(3)
 
     def test_generated_formulas_are_one_object(self):
         assert alpha_levels(5)[-1] is alpha_levels(5)[-1]
